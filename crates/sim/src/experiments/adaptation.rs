@@ -6,12 +6,10 @@
 //! representative apps.
 
 use moca_core::L2Design;
-use moca_trace::AppProfile;
 
+use crate::experiments::matrix::{Column, DesignMatrix, Needs};
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::Table;
-use crate::workloads::{run_app, Scale, EXPERIMENT_SEED};
 
 /// Apps shown in the timeline table.
 pub const TIMELINE_APPS: [&str; 2] = ["browser", "camera"];
@@ -19,17 +17,21 @@ pub const TIMELINE_APPS: [&str; 2] = ["browser", "camera"];
 /// Timeline samples shown per app.
 const SAMPLES: usize = 12;
 
-/// Runs the experiment, sharding the timeline simulations over `jobs`
-/// threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
+/// The matrix cells F7 reads: the timeline apps on the dynamic design.
+pub fn needs() -> Needs {
+    Needs {
+        apps: TIMELINE_APPS.to_vec(),
+        columns: vec![Column::plain(L2Design::dynamic_default())],
+    }
+}
+
+/// Builds the result from a design matrix that planned F7.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec!["app", "time (ms)", "user ways", "kernel ways", "total"]);
     let mut mean_ways = Vec::new();
     let mut changes = Vec::new();
-    let runs = parallel_map(jobs, TIMELINE_APPS.to_vec(), |name| {
-        let app = AppProfile::by_name(name).expect("known app");
-        run_app(&app, L2Design::dynamic_default(), scale.refs(), EXPERIMENT_SEED)
-    });
-    for (name, r) in TIMELINE_APPS.iter().zip(&runs) {
+    for name in TIMELINE_APPS {
+        let r = m.cell(name, L2Design::dynamic_default());
         mean_ways.push(r.mean_active_ways);
         changes.push(r.timeline.len().saturating_sub(1));
         let step = (r.timeline.len() / SAMPLES).max(1);
@@ -77,10 +79,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn dynamic_adapts() {
-        let r = run(Scale::Quick, Jobs::available());
+        let m = DesignMatrix::plan(&["F7"], Scale::Quick, Jobs::available());
+        let r = from_matrix(&m);
         assert!(r.passed(), "claims failed:\n{}", r.render());
         assert!(r.table.contains("browser"));
     }

@@ -9,12 +9,11 @@
 
 use moca_core::{recommend_retention, L2Design};
 use moca_energy::RetentionClass;
-use moca_trace::{AppProfile, Mode};
+use moca_trace::Mode;
 
+use crate::experiments::matrix::{Column, DesignMatrix, Needs};
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::{pct, Table};
-use crate::workloads::{run_app_with_behavior, Scale, EXPERIMENT_SEED};
 
 /// Lifetime quantile a retention class must cover.
 pub const COVERAGE: f64 = 0.95;
@@ -26,13 +25,20 @@ fn fmt_cycles_ms(c: Option<u64>) -> String {
     }
 }
 
-/// Runs the experiment, sharding the per-app simulations over `jobs`
-/// threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
-    let design = L2Design::StaticSram {
-        user_ways: 6,
-        kernel_ways: 4,
-    };
+/// The partition whose segments F4 characterizes (T2's static SRAM
+/// column).
+const PARTITION: L2Design = L2Design::StaticSram {
+    user_ways: 6,
+    kernel_ways: 4,
+};
+
+/// The matrix cells F4 reads: every app on the partition, probed.
+pub fn needs() -> Needs {
+    Needs::suite(vec![Column::probed(PARTITION)])
+}
+
+/// Builds the result from a design matrix that planned F4.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec![
         "app",
         "segment",
@@ -42,11 +48,8 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         "recommended retention",
     ]);
     let mut recs: Vec<(RetentionClass, RetentionClass)> = Vec::new();
-    let runs = parallel_map(jobs, AppProfile::suite(), |app| {
-        let r = run_app_with_behavior(&app, design, scale.refs(), EXPERIMENT_SEED);
-        (app, r)
-    });
-    for (app, r) in runs {
+    for app in needs().apps {
+        let r = m.probed(app, PARTITION);
         let mut row_rec = (RetentionClass::TenYears, RetentionClass::TenYears);
         for mode in Mode::ALL {
             let b = r.behavior(mode);
@@ -56,7 +59,7 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
                 Mode::Kernel => row_rec.1 = rec,
             }
             table.row(vec![
-                app.name.to_string(),
+                app.to_string(),
                 mode.to_string(),
                 fmt_cycles_ms(b.reuse.median()),
                 fmt_cycles_ms(b.lifetime.quantile(COVERAGE)),
@@ -109,10 +112,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn behaviour_supports_multi_retention() {
-        let r = run(Scale::Quick, Jobs::available());
+        let m = DesignMatrix::plan(&["F4"], Scale::Quick, Jobs::available());
+        let r = from_matrix(&m);
         assert!(r.passed(), "claims failed:\n{}", r.render());
         assert!(r.table.contains("kernel"));
     }

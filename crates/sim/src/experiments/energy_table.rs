@@ -6,12 +6,18 @@
 //! authors' CACTI/NVSim testbed; the reproduction targets the *shape*:
 //! large savings, dynamic > static, leakage the dominant component saved.
 
-use crate::experiments::matrix::DesignMatrix;
+use crate::experiments::matrix::{headline_designs, Column, DesignMatrix, Needs};
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::table::{pct, Table};
 
-/// Builds the result from an already-run design matrix.
-pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
+/// The matrix cells T2 reads: every app on every headline design.
+pub fn needs() -> Needs {
+    Needs::suite(headline_designs().into_iter().map(Column::plain).collect())
+}
+
+/// Builds the result from a design matrix that planned T2.
+pub fn from_matrix(matrix: &DesignMatrix) -> ExperimentResult {
+    let m = matrix.headline();
     let labels: Vec<String> = m.designs.iter().map(|d| d.label()).collect();
     let mut headers = vec!["app".to_string()];
     headers.extend(labels.iter().cloned());
@@ -20,7 +26,7 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     for row in &m.rows {
         let mut cells = vec![row[0].app.clone()];
         for r in row.iter() {
-            cells.push(format!("{:.3}", r.energy_ratio_vs(&row[0])));
+            cells.push(format!("{:.3}", r.energy_ratio_vs(row[0])));
         }
         table.row(cells);
     }
@@ -105,26 +111,19 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::matrix::headline_designs;
-    use crate::metrics::SimReport;
-    use crate::workloads::run_app;
-    use moca_trace::AppProfile;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn energy_table_shape_holds_on_small_runs() {
-        // A reduced matrix (3 apps, short traces) — claims may be noisier
-        // than the full run, so only check structure + ordering here.
-        let designs = headline_designs();
-        let rows: Vec<Vec<SimReport>> = AppProfile::suite()[..3]
-            .iter()
-            .map(|app| designs.iter().map(|d| run_app(app, *d, 400_000, 7)).collect())
-            .collect();
-        let m = DesignMatrix { designs, rows };
+        // Smoke-scale traces — claims may be noisier than the full run,
+        // so only check structure + ordering here.
+        let m = DesignMatrix::plan(&["T2"], Scale::Smoke, Jobs::available());
         let r = from_matrix(&m);
         assert!(r.table.contains("MEAN"));
         assert!(r.table.contains("leakage share"));
         // Both techniques must save a lot of energy even on short runs.
-        let static_mean = m.mean_over_apps(2, |x, b| x.energy_ratio_vs(b));
+        let static_mean = m.headline().mean_over_apps(2, |x, b| x.energy_ratio_vs(b));
         assert!(static_mean < 0.5, "static norm energy {static_mean}");
     }
 }

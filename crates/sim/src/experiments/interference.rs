@@ -12,16 +12,29 @@
 //!   an idealized bound, not a proposal).
 
 use moca_core::L2Design;
-use moca_trace::AppProfile;
 
+use crate::experiments::matrix::{Column, DesignMatrix, Needs};
 use crate::experiments::{ClaimCheck, ExperimentResult};
-use crate::parallel::{parallel_map, Jobs};
 use crate::table::{f3, pct, Table};
-use crate::workloads::{run_app, Scale, EXPERIMENT_SEED};
 
-/// Runs the experiment, sharding the shared/isolated run pairs over
-/// `jobs` threads.
-pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
+/// The interference-free bound: each mode gets its own full-size
+/// segment.
+const ISOLATED: L2Design = L2Design::StaticSram {
+    user_ways: 16,
+    kernel_ways: 16,
+};
+
+/// The matrix cells F2 reads: every app on the shared baseline and on
+/// the isolated bound.
+pub fn needs() -> Needs {
+    Needs::suite(vec![
+        Column::plain(L2Design::baseline()),
+        Column::plain(ISOLATED),
+    ])
+}
+
+/// Builds the result from a design matrix that planned F2.
+pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     let mut table = Table::new(vec![
         "app",
         "shared miss",
@@ -31,22 +44,15 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
     ]);
     let mut cross_shares = Vec::new();
     let mut deltas = Vec::new();
-    let isolated = L2Design::StaticSram {
-        user_ways: 16,
-        kernel_ways: 16,
-    };
-    let pairs = parallel_map(jobs, AppProfile::suite(), |app| {
-        let shared = run_app(&app, L2Design::baseline(), scale.refs(), EXPERIMENT_SEED);
-        let iso = run_app(&app, isolated, scale.refs(), EXPERIMENT_SEED);
-        (app, shared, iso)
-    });
-    for (app, shared, iso) in pairs {
+    for app in needs().apps {
+        let shared = m.cell(app, L2Design::baseline());
+        let iso = m.cell(app, ISOLATED);
         let delta = shared.l2_miss_rate() - iso.l2_miss_rate();
         let cross = shared.l2_stats.cross_eviction_share();
         cross_shares.push(cross);
         deltas.push(delta);
         table.row(vec![
-            app.name.to_string(),
+            app.to_string(),
             f3(shared.l2_miss_rate()),
             f3(iso.l2_miss_rate()),
             format!("{delta:+.3}"),
@@ -96,10 +102,13 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn interference_is_visible() {
-        let r = run(Scale::Quick, Jobs::available());
+        let m = DesignMatrix::plan(&["F2"], Scale::Quick, Jobs::available());
+        let r = from_matrix(&m);
         assert!(r.passed(), "claims failed:\n{}", r.render());
     }
 }

@@ -5,12 +5,18 @@
 //! one. The metric is cycles-per-reference normalized to the shared SRAM
 //! baseline (`> 1.0` = slower).
 
-use crate::experiments::matrix::DesignMatrix;
+use crate::experiments::matrix::{headline_designs, Column, DesignMatrix, Needs};
 use crate::experiments::{ClaimCheck, ExperimentResult};
 use crate::table::{pct, Table};
 
-/// Builds the result from an already-run design matrix.
-pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
+/// The matrix cells F6 reads: every app on every headline design.
+pub fn needs() -> Needs {
+    Needs::suite(headline_designs().into_iter().map(Column::plain).collect())
+}
+
+/// Builds the result from a design matrix that planned F6.
+pub fn from_matrix(matrix: &DesignMatrix) -> ExperimentResult {
+    let m = matrix.headline();
     let mut headers = vec!["app".to_string()];
     headers.extend(m.designs.iter().map(|d| d.label()));
     let mut table = Table::new(headers);
@@ -18,7 +24,7 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
     for row in &m.rows {
         let mut cells = vec![row[0].app.clone()];
         for r in row.iter() {
-            cells.push(format!("{:.3}", r.slowdown_vs(&row[0])));
+            cells.push(format!("{:.3}", r.slowdown_vs(row[0])));
         }
         table.row(cells);
     }
@@ -72,20 +78,12 @@ pub fn from_matrix(m: &DesignMatrix) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::matrix::headline_designs;
-    use crate::metrics::SimReport;
-    use crate::workloads::run_app;
-    use moca_trace::AppProfile;
+    use crate::parallel::Jobs;
+    use crate::workloads::Scale;
 
     #[test]
     fn performance_table_structure() {
-        let designs = headline_designs();
-        let rows: Vec<Vec<SimReport>> = AppProfile::suite()[..2]
-            .iter()
-            .map(|app| designs.iter().map(|d| run_app(app, *d, 300_000, 7)).collect())
-            .collect();
-        let m = DesignMatrix { designs, rows };
-        let r = from_matrix(&m);
+        let r = from_matrix(&DesignMatrix::plan(&["F6"], Scale::Smoke, Jobs::available()));
         assert!(r.table.contains("MEAN"));
         // Baseline column is exactly 1.0 for every app.
         for line in r.table.lines().skip(2) {

@@ -49,7 +49,7 @@ use moca_trace::AppProfile;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
-use crate::fanout::TraceStream;
+use crate::fanout::{ChunkArena, TraceStream};
 use crate::metrics::SimReport;
 use crate::parallel::catch_panic;
 use crate::system::{BuildSystemError, System};
@@ -116,7 +116,8 @@ pub struct FrontEnd<'a> {
 }
 
 impl<'a> FrontEnd<'a> {
-    /// A front end over the `(app, seed)` stream with `cfg`'s L1 pair.
+    /// A front end over the `(app, seed)` stream with `cfg`'s L1 pair,
+    /// backed by the global chunk arena.
     ///
     /// # Errors
     ///
@@ -127,13 +128,27 @@ impl<'a> FrontEnd<'a> {
         seed: u64,
         cfg: &SystemConfig,
     ) -> Result<Self, BuildSystemError> {
+        Self::with_arena(app, seed, cfg, ChunkArena::global())
+    }
+
+    /// [`FrontEnd::new`] over a stream backed by `arena`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent.
+    pub(crate) fn with_arena(
+        app: &'a AppProfile,
+        seed: u64,
+        cfg: &SystemConfig,
+        arena: &'a ChunkArena,
+    ) -> Result<Self, BuildSystemError> {
         let l1 = L1Pair::new(
             cfg.l1i_geometry()?,
             cfg.l1d_geometry()?,
             ReplacementPolicy::Lru,
         );
         Ok(FrontEnd {
-            stream: TraceStream::new(app, seed),
+            stream: TraceStream::with_arena(app, seed, arena),
             l1,
             filtered: 0,
         })
@@ -206,8 +221,10 @@ enum LaneSlot {
 ///
 /// Most callers reach this engine through the [`crate::fanout::FanOut`]
 /// entry points (every sweep, sweep-shaped experiment, and `repro` run
-/// routes here); the type is public for the differential suites and the
-/// lane-group-width benchmarks.
+/// routes here). The suite's design matrix
+/// ([`crate::experiments::matrix`]) drives it directly, one lane group
+/// per app; the type is also public for the differential suites and
+/// the lane-group-width benchmarks.
 ///
 /// # Examples
 ///
@@ -229,6 +246,10 @@ pub struct LockStep<'a> {
     seed: u64,
     cfg: SystemConfig,
     lane_group: usize,
+    /// Arena backing every lane group's trace stream.
+    arena: &'a ChunkArena,
+    /// Absolute sweep indices whose lane carries the behaviour probe.
+    probed: Vec<usize>,
     /// Absolute sweep indices forced to panic at the start of their
     /// replay (fault-injection hook for the isolation suites).
     injected_faults: Vec<usize>,
@@ -243,6 +264,8 @@ impl<'a> LockStep<'a> {
             seed,
             cfg: SystemConfig::default(),
             lane_group: LANE_GROUP,
+            arena: ChunkArena::global(),
+            probed: Vec::new(),
             injected_faults: Vec::new(),
         }
     }
@@ -261,6 +284,46 @@ impl<'a> LockStep<'a> {
     pub fn with_lane_group(mut self, width: usize) -> Self {
         self.lane_group = width.max(1);
         self
+    }
+
+    /// Backs every lane group's trace stream with `arena` instead of the
+    /// global one.
+    ///
+    /// A stream read exactly once gains nothing from memoization; a
+    /// zero-capacity arena ([`ChunkArena::with_capacity`]`(0)`) keeps it
+    /// from filling the global arena that later sweeps replay from.
+    pub(crate) fn with_arena(mut self, arena: &'a ChunkArena) -> Self {
+        self.arena = arena;
+        self
+    }
+
+    /// Enables segment-behaviour probing on the listed absolute sweep
+    /// indices only (see [`System::with_behavior_probe`]).
+    ///
+    /// The probe observes L2 state without changing it, so a probed
+    /// lane's report equals the unprobed one in every field but
+    /// `behavior`, and other lanes pay nothing for it.
+    pub(crate) fn with_behavior_probes(mut self, lanes: &[usize]) -> Self {
+        self.probed = lanes.to_vec();
+        self
+    }
+
+    /// Builds the system of the lane at absolute sweep index `index`.
+    fn build(&self, design: L2Design, index: usize) -> Result<System, BuildSystemError> {
+        let sys = System::new(self.app.name, design, self.cfg)?;
+        Ok(if self.probed.contains(&index) {
+            sys.with_behavior_probe()
+        } else {
+            sys
+        })
+    }
+
+    /// The shared front end of one lane group.
+    fn front_end(&self) -> FrontEnd<'a> {
+        // Every caller built a lane first, which validated the L1
+        // geometries.
+        FrontEnd::with_arena(self.app, self.seed, &self.cfg, self.arena)
+            .expect("lane builds validated the config")
     }
 
     /// Injects deterministic mid-run faults: each listed absolute sweep
@@ -354,8 +417,10 @@ impl<'a> LockStep<'a> {
     ) -> Result<Vec<(SimReport, u64)>, Cancelled> {
         let mut systems: Vec<System> = lanes
             .iter()
-            .map(|design| {
-                System::new(self.app.name, *design, self.cfg).expect("fan-out design must be valid")
+            .enumerate()
+            .map(|(i, design)| {
+                self.build(*design, offset + i)
+                    .expect("fan-out design must be valid")
             })
             .collect();
         let mut walls = vec![0u64; systems.len()];
@@ -363,9 +428,7 @@ impl<'a> LockStep<'a> {
         // lookup) plus the single L1 filter pass. Attributed to every
         // lane of the group — it is wait time each of them experienced.
         let mut gen_ns = 0u64;
-        // The lane builds above validated the L1 geometries already.
-        let mut front =
-            FrontEnd::new(self.app, self.seed, &self.cfg).expect("lane builds validated the config");
+        let mut front = self.front_end();
         let mut chunk = FilteredChunk::default();
         let mut left = refs;
         while left > 0 {
@@ -442,7 +505,7 @@ impl<'a> LockStep<'a> {
             .iter()
             .enumerate()
             .map(|(lane, design)| {
-                match catch_panic(|| System::new(self.app.name, *design, self.cfg)) {
+                match catch_panic(|| self.build(*design, offset + lane)) {
                     Ok(Ok(sys)) => LaneSlot::Live(Box::new(sys), 0),
                     Ok(Err(e)) => LaneSlot::Failed(SweepPointError {
                         index: offset + lane,
@@ -460,11 +523,7 @@ impl<'a> LockStep<'a> {
 
         let mut front = None;
         if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
-            // At least one lane built, so the L1 geometries are valid.
-            front = Some(
-                FrontEnd::new(self.app, self.seed, &self.cfg)
-                    .expect("a lane build validated the config"),
-            );
+            front = Some(self.front_end());
             let front = front.as_mut().expect("just installed");
             let mut chunk = FilteredChunk::default();
             let mut first = true;

@@ -42,6 +42,11 @@
 //! | `worker_stop`  | `scope pool worker jobs items busy_ns`                       | scheduling     |
 //! | `arena`        | `cached_chunks capacity_chunks hits misses rejected`         | scheduling     |
 //! | `trace_io`     | `files chunks_decoded bytes_read decode_ns checksum_verifies decode_errors` | scheduling |
+//! | `search`       | `scope generation population front_size hv_permille evals_pruned evals_simulated evals_cached eval_ns` | yes |
+//!
+//! [`KINDS`] is the machine-readable form of this table: the renderer
+//! sorts by it and consumers such as `telemetry_report` validate
+//! against it, so a new kind is declared once.
 //!
 //! # Determinism contract
 //!
@@ -68,6 +73,116 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// One row of the event schema (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindSpec {
+    /// The rendered `kind` string.
+    pub kind: &'static str,
+    /// The fields after `v` and `kind`, in render order.
+    pub fields: &'static [&'static str],
+    /// `true` when the kind's presence or payload depends on thread
+    /// scheduling (see [`is_scheduling_kind`]).
+    pub scheduling: bool,
+}
+
+/// Every event kind the engine emits. A kind's position is its sort
+/// rank within one scope epoch (points first, then checkpoints, then
+/// scheduling events, counters, and the kinds added since — existing
+/// ranks are pinned by drained-stream fixtures, so new kinds go last).
+pub const KINDS: [KindSpec; 9] = [
+    KindSpec {
+        kind: "point",
+        fields: &[
+            "scope",
+            "app",
+            "design",
+            "index",
+            "total",
+            "trace_gen_ns",
+            "sim_ns",
+            "energy_ns",
+        ],
+        scheduling: false,
+    },
+    KindSpec {
+        kind: "checkpoint",
+        fields: &["scope", "event", "key"],
+        scheduling: false,
+    },
+    KindSpec {
+        kind: "arena",
+        fields: &[
+            "cached_chunks",
+            "capacity_chunks",
+            "hits",
+            "misses",
+            "rejected",
+        ],
+        scheduling: true,
+    },
+    KindSpec {
+        kind: "trace_io",
+        fields: &[
+            "files",
+            "chunks_decoded",
+            "bytes_read",
+            "decode_ns",
+            "checksum_verifies",
+            "decode_errors",
+        ],
+        scheduling: true,
+    },
+    KindSpec {
+        kind: "worker_start",
+        fields: &["scope", "pool", "worker", "jobs"],
+        scheduling: true,
+    },
+    KindSpec {
+        kind: "worker_stop",
+        fields: &["scope", "pool", "worker", "jobs", "items", "busy_ns"],
+        scheduling: true,
+    },
+    KindSpec {
+        kind: "counter",
+        fields: &["name", "value"],
+        scheduling: false,
+    },
+    KindSpec {
+        kind: "mrc",
+        fields: &[
+            "scope",
+            "app",
+            "grid",
+            "max_ways",
+            "pruned",
+            "simulated",
+            "profile_ns",
+        ],
+        scheduling: false,
+    },
+    KindSpec {
+        kind: "search",
+        fields: &[
+            "scope",
+            "generation",
+            "population",
+            "front_size",
+            "hv_permille",
+            "evals_pruned",
+            "evals_simulated",
+            "evals_cached",
+            "eval_ns",
+        ],
+        scheduling: false,
+    },
+];
+
+/// The schema row of `kind`, or `None` for a kind the engine never
+/// emits.
+pub fn kind_spec(kind: &str) -> Option<&'static KindSpec> {
+    KINDS.iter().find(|spec| spec.kind == kind)
+}
 
 /// One telemetry event, before scope-stamping and rendering.
 ///
@@ -251,22 +366,14 @@ impl Event {
         }
     }
 
-    /// Sort rank grouping kinds within one scope epoch (points first,
-    /// then checkpoints, then scheduling events, counters last).
-    fn kind_rank(&self) -> u8 {
-        match self {
-            Event::Point { .. } => 0,
-            Event::Checkpoint { .. } => 1,
-            Event::Arena { .. } => 2,
-            Event::TraceIo { .. } => 3,
-            Event::WorkerStart { .. } => 4,
-            Event::WorkerStop { .. } => 5,
-            Event::Counter { .. } => 6,
-            // Appended rank: existing ranks are pinned by drained-stream
-            // fixtures, so new kinds sort after them.
-            Event::Mrc { .. } => 7,
-            Event::Search { .. } => 8,
-        }
+    /// Sort rank grouping kinds within one scope epoch: the kind's
+    /// position in [`KINDS`].
+    fn kind_rank(&self) -> usize {
+        let kind = self.kind();
+        KINDS
+            .iter()
+            .position(|spec| spec.kind == kind)
+            .expect("every event kind has a schema row")
     }
 
     /// Renders the event as one JSON line (no trailing newline).
@@ -431,7 +538,7 @@ fn json_escape_into(s: &mut String, value: &str) {
 /// `arena`, `trace_io`) — the determinism suite filters these before
 /// comparing streams across job counts.
 pub fn is_scheduling_kind(kind: &str) -> bool {
-    matches!(kind, "worker_start" | "worker_stop" | "arena" | "trace_io")
+    kind_spec(kind).is_some_and(|spec| spec.scheduling)
 }
 
 /// A telemetry sink.
@@ -547,7 +654,7 @@ impl JsonlRecorder {
     ///
     /// Returns any underlying I/O error.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<usize> {
-        let mut lines: Vec<(u32, u8, String, String)> = {
+        let mut lines: Vec<(u32, usize, String, String)> = {
             let inner = self.lock_inner();
             inner
                 .events
@@ -1024,6 +1131,16 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn schema_rows_are_unique_and_unknown_kinds_have_none() {
+        for (i, spec) in KINDS.iter().enumerate() {
+            assert_eq!(kind_spec(spec.kind), Some(spec));
+            assert!(KINDS[..i].iter().all(|other| other.kind != spec.kind));
+        }
+        assert!(kind_spec("mystery").is_none());
+        assert!(!is_scheduling_kind("mystery"));
     }
 
     #[test]

@@ -52,10 +52,13 @@ pub const EXPERIMENT_SEED: u64 = 0x5EED_2015;
 ///
 /// This is the *sequential reference path*: it owns a private
 /// [`TraceGenerator`] and never touches the shared chunk arena, which is
-/// what makes it the oracle the fan-out equivalence tests compare
-/// against. Multi-design studies should prefer [`crate::fanout::FanOut`]
-/// (or [`crate::sweep::sweep`]), which produce byte-identical reports
-/// while paying trace generation once per `(app, seed)`.
+/// what makes it the oracle the lock-step and design-matrix equivalence
+/// tests compare against. Multi-design studies should run their designs
+/// as one [`crate::lockstep::LockStep`] lane group (directly, through
+/// [`crate::sweep::sweep`], or as a consumer of
+/// [`crate::experiments::matrix`]): the reports are byte-identical,
+/// and the trace is generated and L1-filtered once per `(app, seed)`
+/// instead of once per design.
 ///
 /// # Panics
 ///

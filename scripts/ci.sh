@@ -68,19 +68,33 @@ if "$REPRO" --no-such-flag > /dev/null 2>&1; then
 fi
 echo "kill/resume smoke passed"
 
-echo "== telemetry smoke (repro --telemetry + --progress, stream validates) =="
+echo "== telemetry smoke (whole --quick suite with --telemetry + --progress) =="
+# The whole suite emits every kind the binaries produce: the design
+# matrix's lane points, sweeps, mrc pruning, search generations.
 TELEM="$SMOKE_DIR/telemetry.jsonl"
-"$REPRO" --quick --progress --telemetry "$TELEM" F3 A2 \
+"$REPRO" --quick --progress --telemetry "$TELEM" \
   > "$SMOKE_DIR/telemetry_stdout.txt" 2> "$SMOKE_DIR/telemetry_stderr.txt"
-grep -q '^\[progress\] F3 (1/2)' "$SMOKE_DIR/telemetry_stderr.txt" \
+grep -q '^\[progress\] F1 (1/18)' "$SMOKE_DIR/telemetry_stderr.txt" \
   || { echo "missing --progress heartbeat on stderr"; exit 1; }
 test -s "$TELEM" || { echo "telemetry stream is empty"; exit 1; }
-# telemetry_report parses every line (exit 2 on the first malformed one)
-# and must find the sweep points in its aggregate.
+# telemetry_report parses every line (exit 2 on the first malformed one
+# or an unknown kind) and must find the sweep points in its aggregate.
 target/release/telemetry_report "$TELEM" > "$SMOKE_DIR/telemetry_report.txt"
-grep -q 'per-scope profile' "$SMOKE_DIR/telemetry_report.txt" \
-  || { echo "telemetry_report produced no profile"; exit 1; }
+for needle in 'per-scope profile' 'mrc pruning:' 'search:' 'events by kind'; do
+  grep -q "$needle" "$SMOKE_DIR/telemetry_report.txt" \
+    || { echo "telemetry_report has no '$needle' section"; exit 1; }
+done
 echo "telemetry smoke passed"
+
+echo "== arena guard (repro --quick must not saturate the trace arena) =="
+# Streams read once (the design matrix) must not fill the global arena:
+# a saturated arena regenerates every later sweep's stream and costs
+# peak memory. The run above is the whole --quick suite.
+if grep -q 'trace arena saturated' "$SMOKE_DIR/telemetry_stdout.txt"; then
+  grep 'trace arena' "$SMOKE_DIR/telemetry_stdout.txt"
+  echo "repro --quick saturated the trace arena"; exit 1
+fi
+echo "arena guard passed"
 
 echo "== mrc pruning smoke (repro --mrc vs unpruned M1) =="
 # The pruned run must report its grid/pruned/simulated split in the
