@@ -193,3 +193,51 @@ fn no_telemetry_flag_means_no_stream_and_identical_report() {
         "disabled run must not mention telemetry: {stderr}"
     );
 }
+
+#[test]
+fn resumed_run_computes_only_the_matrix_cells_it_does_not_replay() {
+    // With F1 already journaled, a resumed `F1 F7` run replays F1 and
+    // computes just F7's two design-matrix cells (browser and camera on
+    // the dynamic design) — not F1's ten baseline cells as well.
+    let dir = std::env::temp_dir().join(format!("moca-resume-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let key = moca_sim::checkpoint::experiment_key("F1", "Quick", moca_sim::EXPERIMENT_SEED);
+    moca_sim::checkpoint::Journal::open(&dir)
+        .and_then(|mut j| j.record(&key, "## F1 — journaled\n\n"))
+        .expect("journal seeded");
+    let path = dir.join("telemetry.jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "--jobs", "2", "--resume"])
+        .arg(&dir)
+        .arg("--telemetry")
+        .arg(&path)
+        .args(["F1", "F7"])
+        .output()
+        .expect("repro binary runs");
+    assert!(
+        output.status.success(),
+        "resumed repro failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("## F1 — journaled"), "F1 must replay:\n{stdout}");
+    let stream = std::fs::read_to_string(&path).expect("telemetry stream written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut points: Vec<(String, String)> = stream
+        .lines()
+        .map(|line| parse_line(line).expect("line parses"))
+        .filter(|fields| str_field(fields, "kind") == "point")
+        .map(|fields| {
+            (
+                str_field(&fields, "scope").to_string(),
+                str_field(&fields, "app").to_string(),
+            )
+        })
+        .collect();
+    points.sort();
+    assert_eq!(
+        points,
+        [("F7", "browser"), ("F7", "camera")].map(|(s, a)| (s.to_string(), a.to_string())),
+        "only F7's cells are simulated"
+    );
+}
