@@ -1,18 +1,26 @@
 //! Microbenchmarks of the substrates: trace generation throughput, the
 //! cache access path, L1 filtering, the utility monitor, the shared-trace
-//! sweep engines (chunk broadcast and the lock-step kernel), and the
-//! chunk arena.
+//! sweep engines (chunk broadcast and the lock-step kernel), the chunk
+//! arena, and the filtered-chunk memo.
+//!
+//! The lock-step benches time the L1 filter pass and the lane replay:
+//! each iteration starts from an empty filtered-chunk memo (lane groups
+//! within one iteration share it, as they do in any run), over raw
+//! chunks already in the global arena. `front-end/memo-hit-100k` times
+//! the warm path on its own.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
 use moca_cache::{CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask};
 use moca_core::{L2Design, RefreshPolicy};
 use moca_energy::RetentionClass;
 use moca_search::{run_search, SearchConfig};
-use moca_sim::fanout::{fan_out, ChunkArena, FanOut, TraceStream};
-use moca_sim::lockstep::LockStep;
+use moca_sim::fanout::{fan_out, ChunkArena, FanOut, TraceStream, ARENA_CHUNK};
+use moca_sim::lockstep::{FrontEnd, LockStep};
 use moca_sim::parallel::Jobs;
 use moca_sim::sweep::{sweep, sweep_pruned};
-use moca_sim::{profile_lru_grid, run_app, FileTraceSource};
+use moca_sim::{
+    profile_lru_grid, run_app, FileTraceSource, FilteredMemo, SystemConfig, MEMO_CAP_BYTES,
+};
 use moca_trace::binfmt::{self, TraceReader, CHUNK_REFS};
 use moca_trace::{AppProfile, MemoryAccess, Mode, TraceGenerator};
 use std::hint::black_box;
@@ -126,10 +134,23 @@ fn sweep_designs() -> [L2Design; 8] {
     ]
 }
 
+/// Puts the first `refs` references of the bench stream in the global
+/// raw arena, as a scalar consumer of the same identity would. Lock-step
+/// front ends read raw chunks through the arena but never fill it, so
+/// without this the cold-front-end benches would time trace generation
+/// too.
+fn warm_raw_arena(app: &AppProfile, refs: usize) {
+    let mut stream = TraceStream::new(app, BENCH_SEED);
+    for _ in 0..refs.div_ceil(ARENA_CHUNK) {
+        stream.next_chunk();
+    }
+}
+
 fn sweep_fanout(r: &mut Runner) {
     let app = bench_app();
     let designs = sweep_designs();
     const REFS: usize = 100_000;
+    warm_raw_arena(&app, REFS);
     // The pre-fan-out sweep shape: every design regenerates the trace.
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-fanout/8-designs-100k-sequential", || {
@@ -154,15 +175,19 @@ fn sweep_fanout(r: &mut Runner) {
     // replay only L2-visible events, skipping pure-hit runs in O(1).
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("sweep-lockstep/8-designs-100k", || {
+        FilteredMemo::global().clear();
         let reports = fan_out(&app, &designs, REFS, BENCH_SEED);
         black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
     });
     // Lane grouping ablation: width 1 rebuilds (and re-pays) the shared
     // front end for every design, isolating what the design-major lane
-    // layout itself buys.
+    // layout itself buys. A zero-capacity memo keeps every group's
+    // front end cold.
+    let cold = FilteredMemo::with_capacity(0);
     r.throughput_elems((designs.len() * REFS) as u64);
     r.bench("lockstep/lane-group-width", || {
         let reports = LockStep::new(&app, BENCH_SEED)
+            .with_memo(&cold)
             .with_lane_group(1)
             .run(&designs, REFS);
         black_box(reports.iter().map(|rep| rep.cycles).sum::<u64>())
@@ -180,16 +205,19 @@ fn mrc_pruning(r: &mut Runner) {
     const GRID: u32 = 24;
     let params: Vec<u32> = (1..=GRID).collect();
     let to_design = |&w: &u32| L2Design::SharedSram { ways: w };
+    warm_raw_arena(&app, REFS);
     // The profiling pass alone: every way count of the grid scored in
     // one front-end-filtered trace traversal.
     r.throughput_elems(REFS as u64);
     r.bench("mrc/profile-100k", || {
+        FilteredMemo::global().clear();
         let curve = profile_lru_grid(&app, REFS, BENCH_SEED, GRID);
         black_box(curve.total_hits(GRID))
     });
     // Simulating all 24 points (the pre-MRC sweep shape)...
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-lockstep/24-designs-100k", || {
+        FilteredMemo::global().clear();
         let points = sweep(&params, to_design, &app, REFS, BENCH_SEED);
         black_box(points.iter().map(|p| p.report.cycles).sum::<u64>())
     });
@@ -197,6 +225,7 @@ fn mrc_pruning(r: &mut Runner) {
     // nominal throughput denominator, so the JSON ratio is the speedup.
     r.throughput_elems((GRID as usize * REFS) as u64);
     r.bench("sweep-pruned/24-designs-100k", || {
+        FilteredMemo::global().clear();
         let pruned = sweep_pruned(&params, to_design, &app, REFS, BENCH_SEED);
         black_box(
             pruned.points.iter().map(|p| p.report.cycles).sum::<u64>()
@@ -310,6 +339,36 @@ fn chunk_arena(r: &mut Runner) {
     r.bench("chunk-arena/hit-rate", || black_box(replay(&arena)));
 }
 
+/// The warm front end: 100k references served entirely from the
+/// filtered-chunk memo — no raw chunk, no L1 work.
+fn filtered_memo(r: &mut Runner) {
+    let app = bench_app();
+    let cfg = SystemConfig::default();
+    let memo = FilteredMemo::with_capacity(MEMO_CAP_BYTES);
+    const REFS: usize = 100_000;
+    let pass = |memo: &FilteredMemo| {
+        let mut front = FrontEnd::with_memo(&app, BENCH_SEED, &cfg, Some(memo))
+            .expect("default config builds a front end");
+        // Read every event, as a lane replaying the chunk would.
+        let mut requests = 0usize;
+        let mut left = REFS;
+        while left > 0 {
+            let chunk = front.fill_next(left);
+            requests += chunk
+                .events()
+                .iter()
+                .map(|e| 1 + usize::from(e.writeback.is_some()))
+                .sum::<usize>();
+            left -= chunk.refs();
+        }
+        requests
+    };
+    pass(&memo); // populate: every later pass is pure hits
+    r.throughput_elems(REFS as u64);
+    r.bench("front-end/memo-hit-100k", || black_box(pass(&memo)));
+    assert_eq!(memo.stats().misses, REFS.div_ceil(ARENA_CHUNK) as u64);
+}
+
 fn main() {
     let mut r = Runner::new("micro");
     trace_generation(&mut r);
@@ -321,5 +380,6 @@ fn main() {
     search_generation(&mut r);
     trace_replay(&mut r);
     chunk_arena(&mut r);
+    filtered_memo(&mut r);
     r.finish();
 }

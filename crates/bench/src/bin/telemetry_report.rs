@@ -17,8 +17,8 @@
 //!   accounting, plus each scope's share of the total measured time;
 //! * a worker-pool table (workers observed, items processed, busy time)
 //!   when the run was parallel;
-//! * checkpoint journal activity and the end-of-run trace-arena
-//!   snapshot, when present;
+//! * checkpoint journal activity and the end-of-run trace-arena and
+//!   filtered-memo snapshot, when present;
 //! * MRC pruning decisions and search generations, when present;
 //! * the event count per kind and the counter totals.
 //!
@@ -122,6 +122,9 @@ struct Report {
     replays: u64,
     /// Last `arena` snapshot seen: (cached, capacity, hits, misses, rejected).
     arena: Option<(u64, u64, u64, u64, u64)>,
+    /// The filtered-chunk memo half of the last `arena` snapshot:
+    /// (chunks, bytes, capacity bytes, hits, misses, rejected).
+    memo: Option<(u64, u64, u64, u64, u64, u64)>,
     /// Last `trace_io` snapshot seen:
     /// (files, chunks_decoded, bytes_read, decode_ns, checksum_verifies, decode_errors).
     trace_io: Option<(u64, u64, u64, u64, u64, u64)>,
@@ -180,6 +183,14 @@ impl Report {
                     num_field(&fields, "hits")?,
                     num_field(&fields, "misses")?,
                     num_field(&fields, "rejected")?,
+                ));
+                self.memo = Some((
+                    num_field(&fields, "memo_chunks")?,
+                    num_field(&fields, "memo_bytes")?,
+                    num_field(&fields, "memo_capacity_bytes")?,
+                    num_field(&fields, "memo_hits")?,
+                    num_field(&fields, "memo_misses")?,
+                    num_field(&fields, "memo_rejected")?,
                 ));
             }
             "trace_io" => {
@@ -282,6 +293,13 @@ impl Report {
         if let Some((cached, cap, hits, misses, rejected)) = self.arena {
             out.push_str(&format!(
                 "trace arena: {cached}/{cap} chunk(s) cached, {hits} hit(s) / {misses} miss(es), {rejected} rejected\n"
+            ));
+        }
+        if let Some((chunks, bytes, cap, hits, misses, rejected)) = self.memo {
+            out.push_str(&format!(
+                "filtered memo: {chunks} chunk(s) cached ({}/{} KiB), {hits} hit(s) / {misses} miss(es), {rejected} rejected\n",
+                bytes / 1024,
+                cap / 1024
             ));
         }
         if let Some((files, chunks, bytes, ns, verifies, errors)) = self.trace_io {
@@ -389,6 +407,12 @@ mod tests {
                 hits: 9,
                 misses: 3,
                 rejected: 0,
+                memo_chunks: 2,
+                memo_bytes: 81_920,
+                memo_capacity_bytes: 1 << 26,
+                memo_hits: 14,
+                memo_misses: 2,
+                memo_rejected: 1,
             },
             Event::TraceIo {
                 files: 4,
@@ -481,6 +505,7 @@ mod tests {
         assert_eq!((pool.workers, pool.items, pool.busy_ns), (1, 3, 30));
         assert_eq!((r.appends, r.replays), (1, 0));
         assert_eq!(r.arena, Some((3, 512, 9, 3, 0)));
+        assert_eq!(r.memo, Some((2, 81_920, 1 << 26, 14, 2, 1)));
         assert_eq!(r.trace_io, Some((4, 148, 900_000, 123_456, 148, 0)));
         assert_eq!(r.counters["sim_batches"], 4);
 
@@ -490,6 +515,7 @@ mod tests {
             "worker pools",
             "checkpoint journal: 1 append(s)",
             "trace arena: 3/512",
+            "filtered memo: 2 chunk(s) cached (80/65536 KiB), 14 hit(s) / 2 miss(es), 1 rejected",
             "trace replay: 4 file(s)",
             "mrc pruning: 1 profile(s), 24 grid point(s), 20 pruned, 4 simulated",
             "search: 1 generation(s), 5 evaluation(s) simulated, 2 pruned, 1 cached",
@@ -513,7 +539,7 @@ mod tests {
             r#"{"v":1,"kind":"worker_stop","scope":"F3","pool":"parallel_map","worker":0,"jobs":2,"items":2,"busy_ns":30}"#,
             r#"{"v":1,"kind":"checkpoint","scope":"F3","event":"append","key":"k"}"#,
             r#"{"v":1,"kind":"checkpoint","scope":"F3","event":"replay","key":"k"}"#,
-            r#"{"v":1,"kind":"arena","cached_chunks":3,"capacity_chunks":512,"hits":9,"misses":3,"rejected":0}"#,
+            r#"{"v":1,"kind":"arena","cached_chunks":3,"capacity_chunks":512,"hits":9,"misses":3,"rejected":0,"memo_chunks":5,"memo_bytes":2048,"memo_capacity_bytes":4096,"memo_hits":6,"memo_misses":5,"memo_rejected":0}"#,
             r#"{"v":1,"kind":"trace_io","files":4,"chunks_decoded":148,"bytes_read":900000,"decode_ns":123456,"checksum_verifies":148,"decode_errors":0}"#,
             r#"{"v":1,"kind":"counter","name":"sim_batches","value":4}"#,
         ];
@@ -527,6 +553,7 @@ mod tests {
         assert_eq!((pool.workers, pool.items, pool.busy_ns), (1, 2, 30));
         assert_eq!((r.appends, r.replays), (1, 1));
         assert_eq!(r.arena, Some((3, 512, 9, 3, 0)));
+        assert_eq!(r.memo, Some((5, 2048, 4096, 6, 5, 0)));
         assert_eq!(r.trace_io, Some((4, 148, 900000, 123456, 148, 0)));
         assert_eq!(r.counters["sim_batches"], 4);
         let rendered = r.render();
@@ -534,6 +561,9 @@ mod tests {
         assert!(rendered.contains("worker pools"));
         assert!(rendered.contains("sim_batches"));
         assert!(rendered.contains("trace replay: 4 file(s), 148 chunk(s) decoded"));
+        assert!(
+            rendered.contains("filtered memo: 5 chunk(s) cached (2/4 KiB), 6 hit(s) / 5 miss(es)")
+        );
     }
 
     #[test]

@@ -234,6 +234,7 @@ mod tests {
             "trace-decode/100k-refs",
             "trace-file/replay-100k",
             "chunk-arena/hit-rate",
+            "front-end/memo-hit-100k",
         ] {
             assert!(
                 records.iter().any(|r| r.bench == required),

@@ -12,10 +12,10 @@
 //! `jobs` and merge back in suite order, so the matrix is bit-identical
 //! for every job count.
 //!
-//! Each trace identity is read exactly once, so the front end streams
-//! through a zero-capacity [`ChunkArena`] instead of the global one:
-//! memoizing chunks no one re-reads would only crowd out the sweeps
-//! that do replay from the global arena.
+//! Each trace identity is read exactly once, so the lane groups are
+//! declared [read-once](LockStep): their front ends bypass the
+//! filtered-chunk memo ([`crate::memo`]), whose room is kept for the
+//! streams later runs do re-read.
 
 use moca_core::L2Design;
 use moca_trace::AppProfile;
@@ -23,7 +23,6 @@ use moca_trace::AppProfile;
 use crate::experiments::{
     adaptation, behavior, energy_table, interference, kernel_share, performance,
 };
-use crate::fanout::ChunkArena;
 use crate::lockstep::LockStep;
 use crate::metrics::SimReport;
 use crate::parallel::{parallel_map, Jobs};
@@ -151,9 +150,8 @@ impl DesignMatrix {
         let rows = parallel_map(jobs, rows, |(app, columns)| {
             let designs: Vec<L2Design> = columns.iter().map(|c| c.design).collect();
             let probed: Vec<usize> = (0..columns.len()).filter(|&i| columns[i].probe).collect();
-            let arena = ChunkArena::with_capacity(0);
             let reports = LockStep::new(&app, EXPERIMENT_SEED)
-                .with_arena(&arena)
+                .read_once()
                 .with_behavior_probes(&probed)
                 .run(&designs, scale.refs());
             Row {

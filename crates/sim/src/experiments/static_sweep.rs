@@ -43,8 +43,9 @@ pub fn run(scale: Scale, jobs: Jobs) -> ExperimentResult {
         let app = AppProfile::by_name(name).expect("known app");
         // The search early-exits, so candidates cannot be batched up
         // front; running each through the fan-out engine still amortizes
-        // trace generation, because every evaluation of the same (app,
-        // seed) after the first replays chunks from the shared arena.
+        // the front end, because every evaluation of the same (app,
+        // seed) after the first replays its filtered chunks from the
+        // memo and pays only L2 replay.
         let fan = FanOut::new(&app, EXPERIMENT_SEED);
         let eval = |design: L2Design| {
             let mut reports = fan.run(&[design], refs);

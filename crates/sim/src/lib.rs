@@ -37,6 +37,7 @@ pub mod error;
 pub mod experiments;
 pub mod fanout;
 pub mod lockstep;
+pub mod memo;
 pub mod metrics;
 pub mod parallel;
 pub mod replay;
@@ -55,6 +56,7 @@ pub use dram::{DramModel, RowBufferDram, RowBufferParams};
 pub use error::{PointCause, SweepPointError};
 pub use fanout::{fan_out, fan_out_parallel, ArenaStats, ChunkArena, FanOut, TraceStream};
 pub use lockstep::{FilteredChunk, FrontEnd, LaneEvent, LockStep, LANE_GROUP};
+pub use memo::{FilteredMemo, MemoStats, MEMO_CAP_BYTES};
 pub use metrics::{geometric_mean, mean, SimReport};
 pub use parallel::{catch_panic, parallel_map, parallel_map_isolated, parallel_map_ref, Jobs};
 pub use replay::{FileTraceSource, TraceIoStats, TraceRegistry};

@@ -15,6 +15,11 @@
 //!   function of the access sequence, not of any design's clock. One
 //!   front end therefore filters each chunk once per lane group and
 //!   every design lane replays the same [`FilteredChunk`].
+//! * **Filtered-chunk memo** ([`FilteredMemo`]): the filtered stream
+//!   does not depend on the L2 design either, so front ends read their
+//!   chunks through one bounded process-wide memo. A lane group whose
+//!   stream another group already filtered pays only L2 replay (see
+//!   [`crate::memo`]).
 //! * **Event replay** ([`LockStep`]): a lane only touches its L2 at the
 //!   L2-visible events of the chunk. The (dominant) runs of pure L1
 //!   hits between events are retired in O(1) by the closed-form
@@ -35,21 +40,26 @@
 //! [`run_app`](crate::workloads::run_app) of the same design: the L1
 //! counts are the front end's (identical by construction, adopted into
 //! each lane before [`System::finish`]); the L2/DRAM interactions happen
-//! at the same per-lane cycles with the same requests. The cross-engine
+//! at the same per-lane cycles with the same requests. A memoized chunk
+//! is the chunk a miss would have filtered, so memo state never shows
+//! (`crates/sim/tests/filtered_memo.rs`). The cross-engine
 //! differential suites (`crates/sim/tests/lockstep_differential.rs`,
 //! `lockstep_props.rs`) pin this against both the scalar oracle and the
 //! retained broadcast engine ([`crate::fanout::FanOut::run_broadcast`]).
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use moca_cache::{L1Pair, L2Request, ReplacementPolicy};
+use moca_cache::stats::CacheStats;
+use moca_cache::{CacheGeometry, L1Pair, L2Request, ReplacementPolicy};
 use moca_core::L2Design;
 use moca_trace::AppProfile;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SystemConfig;
 use crate::error::{PointCause, SweepPointError};
-use crate::fanout::{ChunkArena, TraceStream};
+use crate::fanout::{TraceStream, ARENA_CHUNK};
+use crate::memo::{FilteredMemo, MemoKey};
 use crate::metrics::SimReport;
 use crate::parallel::catch_panic;
 use crate::system::{BuildSystemError, System};
@@ -59,7 +69,7 @@ use crate::telemetry::{self, Event};
 ///
 /// Eight matches the widest sweeps in the experiment suite; pools larger
 /// than the width run as consecutive lane groups, each with its own
-/// front end over the (arena-memoized) stream.
+/// front end over the memoized filtered stream.
 pub const LANE_GROUP: usize = 8;
 
 /// One L2-visible event of a filtered chunk: the demand miss (and the
@@ -76,12 +86,18 @@ pub struct LaneEvent {
 }
 
 /// One chunk of the shared stream after L1 filtering: the L2-visible
-/// events in order, plus the trailing run of hits.
-#[derive(Debug, Default)]
+/// events in order, the trailing run of hits, and the merged L1
+/// statistics of the stream up to and including this chunk.
+///
+/// Immutable once filtered and shared as an `Arc`, so every lane of
+/// every lane group that reads it from the [`FilteredMemo`] replays the
+/// same copy.
+#[derive(Debug)]
 pub struct FilteredChunk {
     refs: u32,
     tail: u32,
-    events: Vec<LaneEvent>,
+    events: Box<[LaneEvent]>,
+    l1_stats: CacheStats,
 }
 
 impl FilteredChunk {
@@ -99,25 +115,55 @@ impl FilteredChunk {
     pub fn tail_gap(&self) -> usize {
         self.tail as usize
     }
+
+    /// The L1 pair's merged I+D statistics after this chunk — what a
+    /// scalar run that stops here reports as `l1_stats`.
+    pub fn l1_stats(&self) -> CacheStats {
+        self.l1_stats
+    }
+
+    /// Bytes this chunk occupies (its weight in the memo bound).
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.events)
+    }
 }
 
-/// The shared front end of one lane group: the `(app, seed)` trace
-/// stream plus one live L1 pair, filtering each chunk once for all
-/// lanes.
+/// The shared front end of one lane group: it hands out the `(app,
+/// seed)` stream chunk by chunk after L1 filtering, once for all lanes.
+///
+/// Each chunk is looked up in the [`FilteredMemo`] first; a hit touches
+/// no raw chunk and does no L1 work. On a miss, the live L1 pair and the
+/// raw stream catch up from wherever they stopped — filtering, and
+/// discarding, the chunks earlier hits skipped — then filter the chunk
+/// and offer it to the memo. The L1 pair is built on the first miss, so
+/// a front end served entirely from the memo never builds one.
 #[derive(Debug)]
 pub struct FrontEnd<'a> {
+    /// Memo consulted before filtering; `None` for a read-once stream.
+    memo: Option<&'a FilteredMemo>,
+    /// Raw reads: the global arena and registry, never filling the arena.
     stream: TraceStream<'a>,
-    l1: L1Pair,
+    seed: u64,
+    l1i: CacheGeometry,
+    l1d: CacheGeometry,
+    /// The live L1 pair, positioned at `stream`'s cursor.
+    l1: Option<L1Pair>,
     /// References filtered so far. Doubles as the timestamp handed to the
     /// L1 — any monotone stamp works, because L1 decisions and statistics
     /// are time-independent (timestamps land only in cold metadata that
     /// never reaches a report).
     filtered: u64,
+    /// Index of the next chunk to hand out.
+    next: u32,
+    /// L1 statistics after the last chunk handed out.
+    l1_stats: CacheStats,
+    /// Event buffer reused across misses.
+    scratch: Vec<LaneEvent>,
 }
 
 impl<'a> FrontEnd<'a> {
     /// A front end over the `(app, seed)` stream with `cfg`'s L1 pair,
-    /// backed by the global chunk arena.
+    /// reading through the global [`FilteredMemo`].
     ///
     /// # Errors
     ///
@@ -128,55 +174,98 @@ impl<'a> FrontEnd<'a> {
         seed: u64,
         cfg: &SystemConfig,
     ) -> Result<Self, BuildSystemError> {
-        Self::with_arena(app, seed, cfg, ChunkArena::global())
+        Self::with_memo(app, seed, cfg, Some(FilteredMemo::global()))
     }
 
-    /// [`FrontEnd::new`] over a stream backed by `arena`.
+    /// [`FrontEnd::new`] reading through `memo`, or filtering every chunk
+    /// itself (neither looking up nor inserting) when `memo` is `None`.
     ///
     /// # Errors
     ///
     /// Returns [`BuildSystemError`] if an L1 geometry is inconsistent.
-    pub(crate) fn with_arena(
+    pub fn with_memo(
         app: &'a AppProfile,
         seed: u64,
         cfg: &SystemConfig,
-        arena: &'a ChunkArena,
+        memo: Option<&'a FilteredMemo>,
     ) -> Result<Self, BuildSystemError> {
-        let l1 = L1Pair::new(
-            cfg.l1i_geometry()?,
-            cfg.l1d_geometry()?,
-            ReplacementPolicy::Lru,
-        );
         Ok(FrontEnd {
-            stream: TraceStream::with_arena(app, seed, arena),
-            l1,
+            memo,
+            stream: TraceStream::non_caching(app, seed),
+            seed,
+            l1i: cfg.l1i_geometry()?,
+            l1d: cfg.l1d_geometry()?,
+            l1: None,
             filtered: 0,
+            next: 0,
+            l1_stats: CacheStats::new(),
+            scratch: Vec::new(),
         })
     }
 
-    /// The shared L1 pair (adopted by every lane before `finish`).
-    pub fn l1(&self) -> &L1Pair {
-        &self.l1
+    /// The L1 pair's merged statistics after every chunk handed out so
+    /// far (adopted by every lane before `finish`).
+    pub fn l1_stats(&self) -> CacheStats {
+        self.l1_stats
     }
 
-    /// Pulls the next chunk of the stream, filters at most `limit` of
-    /// its references through the shared L1 into `out`, and returns the
-    /// number of references filtered.
+    /// The next chunk of the filtered stream, cut at `limit` references.
     ///
-    /// `out` is reused across calls (its event buffer keeps its
-    /// allocation). The cut at `limit` is what keeps the front end's L1
-    /// statistics exact for runs that end mid-chunk.
-    pub fn fill_next(&mut self, limit: usize, out: &mut FilteredChunk) -> usize {
-        let chunk = self.stream.next_chunk();
-        let n = chunk.len().min(limit);
-        out.events.clear();
+    /// The cut is what keeps the L1 statistics exact for runs that end
+    /// mid-chunk; such a partial chunk is memoized under its own key.
+    pub fn fill_next(&mut self, limit: usize) -> Arc<FilteredChunk> {
+        let refs = ARENA_CHUNK.min(limit) as u32;
+        let key = MemoKey {
+            source: self.stream.source_fingerprint(),
+            seed: self.seed,
+            l1i: self.l1i,
+            l1d: self.l1d,
+            chunk: self.next,
+            refs,
+        };
+        let chunk = match self.memo.and_then(|memo| memo.get(&key)) {
+            Some(hit) => hit,
+            None => {
+                let chunk = Arc::new(self.filter(refs as usize));
+                if let Some(memo) = self.memo {
+                    memo.insert(key, &chunk);
+                }
+                chunk
+            }
+        };
+        debug_assert_eq!(chunk.refs(), refs as usize, "memo key {key:?}");
+        self.next += 1;
+        self.l1_stats = chunk.l1_stats;
+        chunk
+    }
+
+    /// Filters the first `refs` references of chunk `self.next` through
+    /// the live L1, after catching it (and the raw stream) up to the
+    /// chunk.
+    fn filter(&mut self, refs: usize) -> FilteredChunk {
+        let (l1i, l1d) = (self.l1i, self.l1d);
+        let l1 = self
+            .l1
+            .get_or_insert_with(|| L1Pair::new(l1i, l1d, ReplacementPolicy::Lru));
+        // Chunks before `next` were served from the memo; only the L1
+        // state they leave behind is needed (every one of them is full —
+        // a run's only partial chunk is its last).
+        while self.stream.position() < self.next {
+            for access in self.stream.next_chunk().iter() {
+                l1.filter(access, self.filtered);
+                self.filtered += 1;
+            }
+        }
+        let raw = self.stream.next_chunk();
+        let n = raw.len().min(refs);
+        self.scratch.clear();
         let mut gap = 0u32;
-        for access in &chunk[..n] {
-            let outcome = self.l1.filter(access, self.filtered);
+        for access in &raw[..n] {
+            let outcome = l1.filter(access, self.filtered);
             self.filtered += 1;
             match outcome.demand {
                 Some(demand) => {
-                    out.events.push(LaneEvent {
+                    self.scratch.push(LaneEvent {
                         gap,
                         demand,
                         writeback: outcome.writeback,
@@ -186,9 +275,15 @@ impl<'a> FrontEnd<'a> {
                 None => gap += 1,
             }
         }
-        out.refs = n as u32;
-        out.tail = gap;
-        n
+        let mut l1_stats = CacheStats::new();
+        l1_stats.merge(l1.icache().stats());
+        l1_stats.merge(l1.dcache().stats());
+        FilteredChunk {
+            refs: n as u32,
+            tail: gap,
+            events: self.scratch.as_slice().into(),
+            l1_stats,
+        }
     }
 }
 
@@ -246,8 +341,9 @@ pub struct LockStep<'a> {
     seed: u64,
     cfg: SystemConfig,
     lane_group: usize,
-    /// Arena backing every lane group's trace stream.
-    arena: &'a ChunkArena,
+    /// Memo every lane group's front end reads through; `None` for a
+    /// stream read once.
+    memo: Option<&'a FilteredMemo>,
     /// Absolute sweep indices whose lane carries the behaviour probe.
     probed: Vec<usize>,
     /// Absolute sweep indices forced to panic at the start of their
@@ -264,7 +360,7 @@ impl<'a> LockStep<'a> {
             seed,
             cfg: SystemConfig::default(),
             lane_group: LANE_GROUP,
-            arena: ChunkArena::global(),
+            memo: Some(FilteredMemo::global()),
             probed: Vec::new(),
             injected_faults: Vec::new(),
         }
@@ -286,14 +382,18 @@ impl<'a> LockStep<'a> {
         self
     }
 
-    /// Backs every lane group's trace stream with `arena` instead of the
-    /// global one.
-    ///
-    /// A stream read exactly once gains nothing from memoization; a
-    /// zero-capacity arena ([`ChunkArena::with_capacity`]`(0)`) keeps it
-    /// from filling the global arena that later sweeps replay from.
-    pub(crate) fn with_arena(mut self, arena: &'a ChunkArena) -> Self {
-        self.arena = arena;
+    /// Reads the filtered stream through `memo` instead of the global
+    /// [`FilteredMemo`] (tests and benchmarks use private memos).
+    pub fn with_memo(mut self, memo: &'a FilteredMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
+    /// Declares the stream read once: its front ends neither look up nor
+    /// insert memo entries, so a stream no one re-reads does not crowd
+    /// out the streams later runs do replay.
+    pub(crate) fn read_once(mut self) -> Self {
+        self.memo = None;
         self
     }
 
@@ -322,7 +422,7 @@ impl<'a> LockStep<'a> {
     fn front_end(&self) -> FrontEnd<'a> {
         // Every caller built a lane first, which validated the L1
         // geometries.
-        FrontEnd::with_arena(self.app, self.seed, &self.cfg, self.arena)
+        FrontEnd::with_memo(self.app, self.seed, &self.cfg, self.memo)
             .expect("lane builds validated the config")
     }
 
@@ -424,33 +524,33 @@ impl<'a> LockStep<'a> {
             })
             .collect();
         let mut walls = vec![0u64; systems.len()];
-        // Shared front-end time for this group: generation (or arena
-        // lookup) plus the single L1 filter pass. Attributed to every
-        // lane of the group — it is wait time each of them experienced.
+        // Shared front-end time for this group: memo lookups, plus
+        // generation (or arena lookup) and the single L1 filter pass of
+        // every chunk the memo missed. Attributed to every lane of the
+        // group — it is wait time each of them experienced.
         let mut gen_ns = 0u64;
         let mut front = self.front_end();
-        let mut chunk = FilteredChunk::default();
         let mut left = refs;
         while left > 0 {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(Cancelled);
             }
             let start = Instant::now();
-            let n = front.fill_next(left, &mut chunk);
+            let chunk = front.fill_next(left);
             gen_ns += start.elapsed().as_nanos() as u64;
             for (sys, wall) in systems.iter_mut().zip(&mut walls) {
                 let start = Instant::now();
                 replay(sys, &chunk);
                 *wall += start.elapsed().as_nanos() as u64;
             }
-            left -= n;
+            left -= chunk.refs();
         }
         Ok(systems
             .into_iter()
             .zip(walls)
             .enumerate()
             .map(|(i, (mut sys, wall))| {
-                sys.adopt_l1(front.l1());
+                sys.adopt_l1_stats(front.l1_stats());
                 let start = Instant::now();
                 let report = sys.finish();
                 let energy_ns = start.elapsed().as_nanos() as u64;
@@ -525,11 +625,10 @@ impl<'a> LockStep<'a> {
         if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
             front = Some(self.front_end());
             let front = front.as_mut().expect("just installed");
-            let mut chunk = FilteredChunk::default();
             let mut first = true;
             let mut left = refs;
             while left > 0 {
-                let n = front.fill_next(left, &mut chunk);
+                let chunk = front.fill_next(left);
                 for (lane, slot) in slots.iter_mut().enumerate() {
                     let failure = match slot {
                         LaneSlot::Live(sys, wall) => {
@@ -558,7 +657,7 @@ impl<'a> LockStep<'a> {
                     }
                 }
                 first = false;
-                left -= n;
+                left -= chunk.refs();
             }
         }
 
@@ -568,7 +667,7 @@ impl<'a> LockStep<'a> {
             .map(|(lane, slot)| match slot {
                 LaneSlot::Live(mut sys, wall) => {
                     if let Some(front) = &front {
-                        sys.adopt_l1(front.l1());
+                        sys.adopt_l1_stats(front.l1_stats());
                     }
                     let start = Instant::now();
                     match catch_panic(move || sys.finish()) {
@@ -633,11 +732,11 @@ mod tests {
     fn filtered_chunk_accounts_every_reference() {
         let app = AppProfile::music();
         let cfg = SystemConfig::default();
-        let mut front = FrontEnd::new(&app, 1, &cfg).expect("valid");
-        let mut chunk = FilteredChunk::default();
-        let n = front.fill_next(5_000, &mut chunk);
-        assert_eq!(n, 5_000);
+        let memo = FilteredMemo::with_capacity(1 << 20);
+        let mut front = FrontEnd::with_memo(&app, 1, &cfg, Some(&memo)).expect("valid");
+        let chunk = front.fill_next(5_000);
         assert_eq!(chunk.refs(), 5_000);
+        assert_eq!(chunk.l1_stats().accesses(), 5_000);
         let events = chunk.events().len();
         let gaps: usize = chunk.events().iter().map(|e| e.gap as usize).sum();
         assert!(events > 0, "a cold L1 must miss");

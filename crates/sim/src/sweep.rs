@@ -38,7 +38,7 @@ use moca_trace::AppProfile;
 use crate::config::SystemConfig;
 use crate::error::SweepPointError;
 use crate::fanout::FanOut;
-use crate::lockstep::{FilteredChunk, FrontEnd};
+use crate::lockstep::FrontEnd;
 use crate::metrics::SimReport;
 use crate::parallel::Jobs;
 use crate::table::Table;
@@ -386,14 +386,10 @@ pub fn profile_lru_grid(app: &AppProfile, refs: usize, seed: u64, max_ways: u32)
     let sets = u32::try_from(L2BaseParams::default().sets).expect("default set count fits u32");
     let mut prof = MrcProfiler::new(&[sets], max_ways).expect("default L2 geometry is valid");
     let mut fe = FrontEnd::new(app, seed, &cfg).expect("default config builds a front end");
-    let mut chunk = FilteredChunk::default();
     let mut remaining = refs;
     while remaining > 0 {
-        let n = fe.fill_next(remaining, &mut chunk);
-        if n == 0 {
-            break;
-        }
-        remaining -= n;
+        let chunk = fe.fill_next(remaining);
+        remaining -= chunk.refs();
         for ev in chunk.events() {
             prof.observe(&ev.demand);
             if let Some(wb) = &ev.writeback {

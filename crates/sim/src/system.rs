@@ -75,6 +75,9 @@ pub struct System {
     l2: MobileL2,
     dram: Option<RowBufferDram>,
     behavior_probe: bool,
+    /// L1 statistics adopted from a shared front end; they replace this
+    /// system's own (unused) L1 pair's in the report.
+    l1_stats: Option<CacheStats>,
     app: String,
 }
 
@@ -114,6 +117,7 @@ impl System {
             l2,
             dram,
             behavior_probe: false,
+            l1_stats: None,
             app: app.into(),
         })
     }
@@ -183,7 +187,7 @@ impl System {
     /// its zero-stall retire is what `retire_many` batches. The lock-step
     /// engine uses this for the gaps between L2-visible events; the L1
     /// state itself lives in the shared front end (see
-    /// [`System::adopt_l1`]).
+    /// [`System::adopt_l1_stats`]).
     pub(crate) fn retire_hits(&mut self, n: u64) {
         self.core.retire_many(n);
     }
@@ -229,14 +233,13 @@ impl System {
         self.core.retire(stall);
     }
 
-    /// Adopts the shared front end's L1 state so [`System::finish`] reports
-    /// the same L1 statistics a scalar run would.
+    /// Adopts the shared front end's merged L1 statistics, so
+    /// [`System::finish`] reports the same `l1_stats` a scalar run would.
     ///
-    /// The counts are identical by construction (the front end filtered
-    /// exactly this system's reference stream); only the cold-metadata
-    /// timestamps differ, and those never reach a [`SimReport`].
-    pub(crate) fn adopt_l1(&mut self, l1: &L1Pair) {
-        self.l1 = l1.clone();
+    /// The counts are identical by construction: the front end filtered
+    /// exactly this system's reference stream.
+    pub(crate) fn adopt_l1_stats(&mut self, stats: CacheStats) {
+        self.l1_stats = Some(stats);
     }
 
     /// Runs an entire trace (or any iterator of references).
@@ -297,9 +300,12 @@ impl System {
         let end = self.core.cycle();
         self.l2.finalize(end);
 
-        let mut l1_stats = CacheStats::new();
-        l1_stats.merge(self.l1.icache().stats());
-        l1_stats.merge(self.l1.dcache().stats());
+        let l1_stats = self.l1_stats.unwrap_or_else(|| {
+            let mut merged = CacheStats::new();
+            merged.merge(self.l1.icache().stats());
+            merged.merge(self.l1.dcache().stats());
+            merged
+        });
 
         let traffic = self.l2.traffic();
         // Row-buffer DRAM accrues read energy internally; writebacks are

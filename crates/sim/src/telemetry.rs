@@ -40,7 +40,7 @@
 //! | `counter`      | `name value` (totals, emitted at drain time)                 | yes            |
 //! | `worker_start` | `scope pool worker jobs`                                     | scheduling     |
 //! | `worker_stop`  | `scope pool worker jobs items busy_ns`                       | scheduling     |
-//! | `arena`        | `cached_chunks capacity_chunks hits misses rejected`         | scheduling     |
+//! | `arena`        | `cached_chunks capacity_chunks hits misses rejected memo_chunks memo_bytes memo_capacity_bytes memo_hits memo_misses memo_rejected` | scheduling |
 //! | `trace_io`     | `files chunks_decoded bytes_read decode_ns checksum_verifies decode_errors` | scheduling |
 //! | `search`       | `scope generation population front_size hv_permille evals_pruned evals_simulated evals_cached eval_ns` | yes |
 //!
@@ -118,6 +118,12 @@ pub const KINDS: [KindSpec; 9] = [
             "hits",
             "misses",
             "rejected",
+            "memo_chunks",
+            "memo_bytes",
+            "memo_capacity_bytes",
+            "memo_hits",
+            "memo_misses",
+            "memo_rejected",
         ],
         scheduling: true,
     },
@@ -201,9 +207,11 @@ pub enum Event {
         /// Number of points in the sweep this point belongs to.
         total: u32,
         /// Wall time spent generating (or fetching) the shared trace
-        /// for this point's stream. Shared generation is attributed to
-        /// every point of the group it was generated for — it is wait
-        /// time each of those points experienced.
+        /// for this point's stream. On the lock-step engine this is the
+        /// whole front end: filtered-memo lookups, plus generation and
+        /// L1 filtering of every chunk the memo missed. Shared front-end
+        /// time is attributed to every point of the group it served — it
+        /// is wait time each of those points experienced.
         trace_gen_ns: u64,
         /// Wall time spent inside [`crate::System::run_batch`].
         sim_ns: u64,
@@ -234,7 +242,8 @@ pub enum Event {
         /// `busy_ns` / pool wall time).
         busy_ns: u64,
     },
-    /// A snapshot of [`crate::ChunkArena`] counters.
+    /// A snapshot of the [`crate::ChunkArena`] and
+    /// [`crate::FilteredMemo`] counters.
     Arena {
         /// Chunks currently cached.
         cached_chunks: u64,
@@ -246,6 +255,18 @@ pub enum Event {
         misses: u64,
         /// Generated chunks not cached because the arena was full.
         rejected: u64,
+        /// Filtered chunks the memo holds.
+        memo_chunks: u64,
+        /// Bytes those filtered chunks occupy.
+        memo_bytes: u64,
+        /// Memo bound in bytes.
+        memo_capacity_bytes: u64,
+        /// Front-end lookups served from the memo.
+        memo_hits: u64,
+        /// Front-end lookups that filtered the chunk.
+        memo_misses: u64,
+        /// Filtered chunks not cached because the memo was full.
+        memo_rejected: u64,
     },
     /// A snapshot of [`crate::TraceRegistry`] file-replay counters.
     ///
@@ -431,12 +452,24 @@ impl Event {
                 hits,
                 misses,
                 rejected,
+                memo_chunks,
+                memo_bytes,
+                memo_capacity_bytes,
+                memo_hits,
+                memo_misses,
+                memo_rejected,
             } => {
                 push_num_field(&mut s, "cached_chunks", *cached_chunks);
                 push_num_field(&mut s, "capacity_chunks", *capacity_chunks);
                 push_num_field(&mut s, "hits", *hits);
                 push_num_field(&mut s, "misses", *misses);
                 push_num_field(&mut s, "rejected", *rejected);
+                push_num_field(&mut s, "memo_chunks", *memo_chunks);
+                push_num_field(&mut s, "memo_bytes", *memo_bytes);
+                push_num_field(&mut s, "memo_capacity_bytes", *memo_capacity_bytes);
+                push_num_field(&mut s, "memo_hits", *memo_hits);
+                push_num_field(&mut s, "memo_misses", *memo_misses);
+                push_num_field(&mut s, "memo_rejected", *memo_rejected);
             }
             Event::TraceIo {
                 files,
@@ -1024,6 +1057,12 @@ mod tests {
             hits: 10,
             misses: 4,
             rejected: 0,
+            memo_chunks: 2,
+            memo_bytes: 4096,
+            memo_capacity_bytes: 1 << 26,
+            memo_hits: 7,
+            memo_misses: 2,
+            memo_rejected: 0,
         });
         rec.record(Event::Checkpoint {
             event: "append",

@@ -30,6 +30,9 @@ echo "== cross-engine differential suite (scalar vs broadcast vs lock-step) =="
 cargo test -q --offline -p moca-sim --test lockstep_differential
 cargo test -q --offline -p moca-sim --test lockstep_props
 
+echo "== filtered-memo differential suite (cold vs warm memo vs scalar) =="
+cargo test -q --offline -p moca-sim --test filtered_memo
+
 echo "== mrc differential suite (stack-distance profiler vs simulator, pruned sweeps) =="
 cargo test -q --offline -p moca-cache --test mrc_differential
 cargo test -q --offline -p moca-sim --test mrc_prune
@@ -80,19 +83,24 @@ test -s "$TELEM" || { echo "telemetry stream is empty"; exit 1; }
 # telemetry_report parses every line (exit 2 on the first malformed one
 # or an unknown kind) and must find the sweep points in its aggregate.
 target/release/telemetry_report "$TELEM" > "$SMOKE_DIR/telemetry_report.txt"
-for needle in 'per-scope profile' 'mrc pruning:' 'search:' 'events by kind'; do
+for needle in 'per-scope profile' 'filtered memo:' 'mrc pruning:' 'search:' 'events by kind'; do
   grep -q "$needle" "$SMOKE_DIR/telemetry_report.txt" \
     || { echo "telemetry_report has no '$needle' section"; exit 1; }
 done
 echo "telemetry smoke passed"
 
-echo "== arena guard (repro --quick must not saturate the trace arena) =="
-# Streams read once (the design matrix) must not fill the global arena:
-# a saturated arena regenerates every later sweep's stream and costs
-# peak memory. The run above is the whole --quick suite.
+echo "== arena guard (repro --quick must not saturate the trace arena or the filtered memo) =="
+# Streams read once (the design matrix) must fill neither the global
+# raw arena nor the filtered-chunk memo: a saturated arena regenerates
+# every later sweep's stream, a saturated memo re-filters it, and both
+# cost peak memory. The run above is the whole --quick suite.
 if grep -q 'trace arena saturated' "$SMOKE_DIR/telemetry_stdout.txt"; then
   grep 'trace arena' "$SMOKE_DIR/telemetry_stdout.txt"
   echo "repro --quick saturated the trace arena"; exit 1
+fi
+if grep -q 'filtered memo saturated' "$SMOKE_DIR/telemetry_stdout.txt"; then
+  grep 'filtered memo' "$SMOKE_DIR/telemetry_stdout.txt"
+  echo "repro --quick saturated the filtered memo"; exit 1
 fi
 echo "arena guard passed"
 
@@ -393,6 +401,7 @@ cargo bench -p moca-bench --offline --bench micro | tee target/bench_micro_curre
 # they are in the baseline — keep this check in sync with BENCH_micro.json).
 for bench in "sweep-fanout/8-designs-100k" "sweep-lockstep/8-designs-100k" \
              "lockstep/lane-group-width" "chunk-arena/hit-rate" \
+             "front-end/memo-hit-100k" \
              "trace-gen/100k-refs" "trace-decode/100k-refs" \
              "trace-file/replay-100k" "mrc/profile-100k" \
              "sweep-lockstep/24-designs-100k" "sweep-pruned/24-designs-100k" \

@@ -91,7 +91,7 @@ use moca_sim::experiments::{self, ExperimentResult, Session};
 use moca_sim::parallel::{catch_panic, Jobs};
 use moca_sim::telemetry::{self, Event};
 use moca_sim::workloads::Scale;
-use moca_sim::{ChunkArena, FileTraceSource, SystemConfig, TraceRegistry};
+use moca_sim::{ChunkArena, FileTraceSource, FilteredMemo, SystemConfig, TraceRegistry};
 
 /// Suite order of the experiment ids (`experiments::all` plus S1).
 const SUITE_IDS: [&str; 18] = [
@@ -439,6 +439,8 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
     writeln!(out, "---")?;
     let arena = ChunkArena::global();
     let stats = arena.stats();
+    let memo = FilteredMemo::global();
+    let memo_stats = memo.stats();
     writeln!(
         out,
         "{} experiments, {} failed claim set(s), {} aborted, wall time {:.1}s",
@@ -466,6 +468,18 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
         stats.rejected
     )?;
     if let Some(warning) = stats.saturation_warning(arena.capacity_chunks()) {
+        writeln!(out, "{warning}")?;
+    }
+    writeln!(
+        out,
+        "filtered memo: {} chunk(s) cached ({} KiB), {} hit(s) / {} miss(es), {} rejected",
+        memo_stats.cached_chunks,
+        memo_stats.bytes / 1024,
+        memo_stats.hits,
+        memo_stats.misses,
+        memo_stats.rejected
+    )?;
+    if let Some(warning) = memo_stats.saturation_warning(memo.capacity_bytes()) {
         writeln!(out, "{warning}")?;
     }
     if let Some((grid, pruned, simulated)) = experiments::mrc_sweep::last_prune_counts() {
@@ -506,6 +520,12 @@ fn run(opts: &Options) -> io::Result<ExitCode> {
             hits: stats.hits,
             misses: stats.misses,
             rejected: stats.rejected,
+            memo_chunks: memo_stats.cached_chunks as u64,
+            memo_bytes: memo_stats.bytes as u64,
+            memo_capacity_bytes: memo.capacity_bytes() as u64,
+            memo_hits: memo_stats.hits,
+            memo_misses: memo_stats.misses,
+            memo_rejected: memo_stats.rejected,
         });
         if corpus_files.is_some() {
             telemetry::record(TraceRegistry::global().stats().to_event());
