@@ -7,7 +7,8 @@
 //! each iteration starts from an empty filtered-chunk memo (lane groups
 //! within one iteration share it, as they do in any run), over raw
 //! chunks already in the global arena. `front-end/memo-hit-100k` times
-//! the warm path on its own.
+//! the warm front end on its own, `lockstep/8-designs-warm-1m` the lane
+//! replay on its own.
 
 use moca_bench::{bench_app, Runner, BENCH_SEED};
 use moca_cache::{CacheGeometry, L1Pair, ReplacementPolicy, SetAssocCache, UtilityMonitor, WayMask};
@@ -369,6 +370,29 @@ fn filtered_memo(r: &mut Runner) {
     assert_eq!(memo.stats().misses, REFS.div_ceil(ARENA_CHUNK) as u64);
 }
 
+/// Warm lane replay at quick scale: eight designs (shared, static and
+/// dynamic; SRAM and STT) over 1M references served entirely from a
+/// private filtered-chunk memo — the L2 replay a search generation pays
+/// per lane group once its stream is memoized. Each lane's L2 state is
+/// far larger than a chunk's events, so this is the bench that shows
+/// whether lanes replay their chunks while that state is still cached.
+fn lockstep_warm(r: &mut Runner) {
+    let app = bench_app();
+    let designs = sweep_designs();
+    let memo = FilteredMemo::with_capacity(MEMO_CAP_BYTES);
+    const REFS: usize = 1_000_000;
+    let run = || {
+        let reports = LockStep::new(&app, BENCH_SEED)
+            .with_memo(&memo)
+            .run(&designs, REFS);
+        reports.iter().map(|rep| rep.cycles).sum::<u64>()
+    };
+    run(); // populate: every later pass is pure hits
+    r.throughput_elems((designs.len() * REFS) as u64);
+    r.bench("lockstep/8-designs-warm-1m", || black_box(run()));
+    assert_eq!(memo.stats().misses, REFS.div_ceil(ARENA_CHUNK) as u64);
+}
+
 fn main() {
     let mut r = Runner::new("micro");
     trace_generation(&mut r);
@@ -381,5 +405,6 @@ fn main() {
     trace_replay(&mut r);
     chunk_arena(&mut r);
     filtered_memo(&mut r);
+    lockstep_warm(&mut r);
     r.finish();
 }

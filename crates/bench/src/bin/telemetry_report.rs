@@ -12,9 +12,11 @@
 //! profiling), validates that **every** line parses against the
 //! emitted schema, and prints:
 //!
-//! * a per-scope profile table — sweep points and the nanoseconds each
-//!   scope spent in trace generation vs cache simulation vs energy
-//!   accounting, plus each scope's share of the total measured time;
+//! * a per-scope profile table — sweep points, lock-step lane groups,
+//!   and the nanoseconds each scope spent in trace generation vs cache
+//!   simulation vs energy accounting, plus each scope's share of the
+//!   total measured time. A lane group's shared front end is counted
+//!   once (its `front_end` event), not once per lane;
 //! * a worker-pool table (workers observed, items processed, busy time)
 //!   when the run was parallel;
 //! * checkpoint journal activity and the end-of-run trace-arena and
@@ -35,10 +37,14 @@ use std::process::ExitCode;
 use moca_sim::table::Table;
 use moca_sim::telemetry::{kind_spec, parse_line, JsonValue};
 
-/// Per-scope accumulator for `point` events.
+/// Per-scope accumulator for `point` and `front_end` events.
 #[derive(Default)]
 struct PhaseAgg {
     points: u64,
+    /// Lock-step lane groups (`front_end` events).
+    groups: u64,
+    /// Trace time: each point's own (0 on the lock-step engine) plus
+    /// each lane group's front end, once per group.
     gen_ns: u64,
     sim_ns: u64,
     energy_ns: u64,
@@ -158,6 +164,14 @@ impl Report {
                 agg.sim_ns += num_field(&fields, "sim_ns")?;
                 agg.energy_ns += num_field(&fields, "energy_ns")?;
             }
+            "front_end" => {
+                let agg = self
+                    .phases
+                    .entry(str_field(&fields, "scope")?.to_string())
+                    .or_default();
+                agg.groups += 1;
+                agg.gen_ns += num_field(&fields, "front_end_ns")?;
+            }
             "worker_stop" => {
                 let key = (
                     str_field(&fields, "scope")?.to_string(),
@@ -242,12 +256,13 @@ impl Report {
 
         let grand_total: u64 = self.phases.values().map(PhaseAgg::total_ns).sum();
         let mut profile = Table::new(vec![
-            "scope", "points", "gen ms", "sim ms", "energy ms", "share",
+            "scope", "points", "groups", "gen ms", "sim ms", "energy ms", "share",
         ]);
         for (scope, agg) in &self.phases {
             profile.row(vec![
                 scope.clone(),
                 agg.points.to_string(),
+                agg.groups.to_string(),
                 ms(agg.gen_ns),
                 ms(agg.sim_ns),
                 ms(agg.energy_ns),
@@ -389,6 +404,15 @@ mod tests {
     fn one_of_each() -> Vec<Event> {
         let events = vec![
             Event::point("music", "sram-16", 0, 1, 5, 10, 5),
+            Event::FrontEnd {
+                app: "music".to_string(),
+                index: 0,
+                lanes: 1,
+                refs: 8_192,
+                front_end_ns: 7,
+                memo_hits: 1,
+                memo_misses: 0,
+            },
             Event::WorkerStart {
                 pool: "parallel_map",
                 worker: 0,
@@ -461,7 +485,8 @@ mod tests {
                 | Event::Checkpoint { .. }
                 | Event::Counter { .. }
                 | Event::Mrc { .. }
-                | Event::Search { .. } => {}
+                | Event::Search { .. }
+                | Event::FrontEnd { .. } => {}
             }
         }
         events
@@ -498,8 +523,8 @@ mod tests {
         assert_eq!(seen, every, "one line of every schema kind");
         let m1 = &r.phases["M1"];
         assert_eq!(
-            (m1.points, m1.gen_ns, m1.sim_ns, m1.energy_ns),
-            (1, 5, 10, 5)
+            (m1.points, m1.groups, m1.gen_ns, m1.sim_ns, m1.energy_ns),
+            (1, 1, 12, 10, 5)
         );
         let pool = &r.pools[&("M1".to_string(), "parallel_map".to_string())];
         assert_eq!((pool.workers, pool.items, pool.busy_ns), (1, 3, 30));
@@ -563,6 +588,32 @@ mod tests {
         assert!(rendered.contains("trace replay: 4 file(s), 148 chunk(s) decoded"));
         assert!(
             rendered.contains("filtered memo: 5 chunk(s) cached (2/4 KiB), 6 hit(s) / 5 miss(es)")
+        );
+    }
+
+    #[test]
+    fn front_end_time_counts_once_per_lane_group() {
+        // A five-lane group: the points carry only replay and finish
+        // time, and the group's 1 ms front end is counted once, not five
+        // times.
+        let mut r = Report::default();
+        for i in 0..5 {
+            r.ingest(&format!(
+                r#"{{"v":1,"kind":"point","scope":"F1","app":"game","design":"d{i}","index":{i},"total":5,"trace_gen_ns":0,"sim_ns":2000000,"energy_ns":0}}"#
+            ))
+            .unwrap();
+        }
+        r.ingest(r#"{"v":1,"kind":"front_end","scope":"F1","app":"game","index":0,"lanes":5,"refs":1048576,"front_end_ns":1000000,"memo_hits":0,"memo_misses":128}"#)
+            .unwrap();
+        let f1 = &r.phases["F1"];
+        assert_eq!(
+            (f1.points, f1.groups, f1.gen_ns, f1.sim_ns),
+            (5, 1, 1_000_000, 10_000_000)
+        );
+        let rendered = r.render();
+        assert!(
+            rendered.contains("phase split: trace-gen 9.1%, cache-sim 90.9%, energy 0.0%"),
+            "{rendered}"
         );
     }
 

@@ -235,6 +235,7 @@ mod tests {
             "trace-file/replay-100k",
             "chunk-arena/hit-rate",
             "front-end/memo-hit-100k",
+            "lockstep/8-designs-warm-1m",
         ] {
             assert!(
                 records.iter().any(|r| r.bench == required),

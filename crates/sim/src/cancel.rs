@@ -8,11 +8,12 @@
 //! [`Cancelled`] instead of a report vector, and a run that completes
 //! is byte-identical whether or not a token was attached.
 //!
-//! The polling points are the `fill_next` loops of the lock-step
-//! kernel (one check per front-end chunk, i.e. every
-//! [`ARENA_CHUNK`](crate::fanout::ARENA_CHUNK) references per lane
-//! group), so abort latency is bounded by one chunk of simulation per
-//! worker, not by the full sweep.
+//! The polling points are in the lock-step kernel's block-major loop:
+//! one check before every chunk the front end fetches into a block, and
+//! one before every chunk a lane replays from it (a chunk is
+//! [`ARENA_CHUNK`](crate::fanout::ARENA_CHUNK) references). Abort
+//! latency is therefore bounded by one chunk of work per worker, not by
+//! a block of up to 128 chunks, let alone the full sweep.
 //!
 //! # Examples
 //!

@@ -29,10 +29,13 @@
 //!
 //! Lanes are laid out design-major: within a lane group the per-design
 //! state (`System`s, wall clocks, failure slots) sits side-by-side in
-//! flat arrays indexed by lane, and the inner loop iterates lanes for
-//! one chunk before the front end advances — designs-within-a-lane-group
-//! is the axis the work is batched over, extending the ways-within-a-set
-//! SWAR batching the caches use internally.
+//! flat arrays indexed by lane. Replay is block-major: the front end
+//! fills a block of up to `BLOCK_CHUNKS` filtered chunks, then each lane
+//! replays the whole block before the next lane starts, so a lane's L2
+//! state (about 1.6 MB at the default geometry) stays in the host cache
+//! for a block instead of being evicted by the other lanes after every
+//! chunk. Lanes share no state, so the order lanes and chunks are
+//! interleaved in never shows in a report.
 //!
 //! # Determinism
 //!
@@ -64,6 +67,22 @@ use crate::metrics::SimReport;
 use crate::parallel::catch_panic;
 use crate::system::{BuildSystemError, System};
 use crate::telemetry::{self, Event};
+
+/// Filtered chunks a lane group's front end hands out before its lanes
+/// replay them: 1,048,576 references, one quick-scale stream.
+///
+/// The block is `Arc`s of chunks, so a memoized stream costs no memory
+/// beyond the memo's; a stream read once holds at most one block (a few
+/// MB) per lane group.
+const BLOCK_CHUNKS: usize = 128;
+
+/// `Err(Cancelled)` once `cancel` (when given) has tripped.
+fn poll(cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
+    match cancel {
+        Some(token) if token.is_cancelled() => Err(Cancelled),
+        _ => Ok(()),
+    }
+}
 
 /// Default number of design lanes sharing one front-end filter pass.
 ///
@@ -155,6 +174,11 @@ pub struct FrontEnd<'a> {
     filtered: u64,
     /// Index of the next chunk to hand out.
     next: u32,
+    /// Chunks handed out from the memo.
+    memo_hits: u64,
+    /// Chunks this front end filtered itself (every chunk of a
+    /// read-once stream).
+    memo_misses: u64,
     /// L1 statistics after the last chunk handed out.
     l1_stats: CacheStats,
     /// Event buffer reused across misses.
@@ -198,6 +222,8 @@ impl<'a> FrontEnd<'a> {
             l1: None,
             filtered: 0,
             next: 0,
+            memo_hits: 0,
+            memo_misses: 0,
             l1_stats: CacheStats::new(),
             scratch: Vec::new(),
         })
@@ -207,6 +233,12 @@ impl<'a> FrontEnd<'a> {
     /// far (adopted by every lane before `finish`).
     pub fn l1_stats(&self) -> CacheStats {
         self.l1_stats
+    }
+
+    /// `(memo hits, memo misses)` over every chunk handed out so far; a
+    /// read-once front end counts every chunk as a miss.
+    pub(crate) fn memo_counts(&self) -> (u64, u64) {
+        (self.memo_hits, self.memo_misses)
     }
 
     /// The next chunk of the filtered stream, cut at `limit` references.
@@ -224,8 +256,12 @@ impl<'a> FrontEnd<'a> {
             refs,
         };
         let chunk = match self.memo.and_then(|memo| memo.get(&key)) {
-            Some(hit) => hit,
+            Some(hit) => {
+                self.memo_hits += 1;
+                hit
+            }
             None => {
+                self.memo_misses += 1;
                 let chunk = Arc::new(self.filter(refs as usize));
                 if let Some(memo) = self.memo {
                     memo.insert(key, &chunk);
@@ -392,7 +428,7 @@ impl<'a> LockStep<'a> {
     /// Declares the stream read once: its front ends neither look up nor
     /// insert memo entries, so a stream no one re-reads does not crowd
     /// out the streams later runs do replay.
-    pub(crate) fn read_once(mut self) -> Self {
+    pub fn read_once(mut self) -> Self {
         self.memo = None;
         self
     }
@@ -472,8 +508,9 @@ impl<'a> LockStep<'a> {
     }
 
     /// [`LockStep::run_timed_span`] with cooperative cancellation: the
-    /// token is polled once per front-end chunk of every lane group, so
-    /// abort latency is bounded by one chunk of replay per group.
+    /// token is polled before every chunk the front end fetches and
+    /// before every chunk a lane replays, so abort latency is bounded by
+    /// one chunk of work per lane group.
     ///
     /// Determinism is untouched — a run that completes returns exactly
     /// the bytes the uncancellable path would have returned, and a
@@ -505,8 +542,39 @@ impl<'a> LockStep<'a> {
         Ok(out)
     }
 
-    /// One lane group: build the lanes, stream-filter-replay, finish.
-    /// `cancel` (when given) is polled at every chunk boundary.
+    /// Streams `refs` references of the filtered stream in blocks of up
+    /// to [`BLOCK_CHUNKS`] chunks and hands each block to `replay_block`,
+    /// which replays it lane by lane. `cancel` (when given) is polled
+    /// before every chunk fetch. Returns the front end (for its L1
+    /// statistics and memo counts) and the time spent filling blocks.
+    fn replay_blocks(
+        &self,
+        refs: usize,
+        cancel: Option<&CancelToken>,
+        mut replay_block: impl FnMut(&[Arc<FilteredChunk>]) -> Result<(), Cancelled>,
+    ) -> Result<(FrontEnd<'a>, u64), Cancelled> {
+        let mut front = self.front_end();
+        let mut block = Vec::with_capacity(BLOCK_CHUNKS.min(refs.div_ceil(ARENA_CHUNK)));
+        let mut front_ns = 0u64;
+        let mut left = refs;
+        while left > 0 {
+            let start = Instant::now();
+            block.clear();
+            while left > 0 && block.len() < BLOCK_CHUNKS {
+                poll(cancel)?;
+                let chunk = front.fill_next(left);
+                left -= chunk.refs();
+                block.push(chunk);
+            }
+            front_ns += start.elapsed().as_nanos() as u64;
+            replay_block(&block)?;
+        }
+        Ok((front, front_ns))
+    }
+
+    /// One lane group: build the lanes, replay the filtered stream block
+    /// by block, finish. `cancel` (when given) is polled before every
+    /// chunk fetch and before every chunk each lane replays.
     fn run_group(
         &self,
         lanes: &[L2Design],
@@ -524,26 +592,31 @@ impl<'a> LockStep<'a> {
             })
             .collect();
         let mut walls = vec![0u64; systems.len()];
-        // Shared front-end time for this group: memo lookups, plus
-        // generation (or arena lookup) and the single L1 filter pass of
-        // every chunk the memo missed. Attributed to every lane of the
-        // group — it is wait time each of them experienced.
-        let mut gen_ns = 0u64;
-        let mut front = self.front_end();
-        let mut left = refs;
-        while left > 0 {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(Cancelled);
-            }
-            let start = Instant::now();
-            let chunk = front.fill_next(left);
-            gen_ns += start.elapsed().as_nanos() as u64;
+        let (front, front_ns) = self.replay_blocks(refs, cancel, |block| {
             for (sys, wall) in systems.iter_mut().zip(&mut walls) {
                 let start = Instant::now();
-                replay(sys, &chunk);
+                for chunk in block {
+                    poll(cancel)?;
+                    replay(sys, chunk);
+                }
                 *wall += start.elapsed().as_nanos() as u64;
             }
-            left -= chunk.refs();
+            Ok(())
+        })?;
+        if telemetry::enabled() {
+            // The shared front end's time is reported once for the whole
+            // group; each lane's `point` carries only its own replay and
+            // finish time.
+            let (memo_hits, memo_misses) = front.memo_counts();
+            telemetry::record(Event::FrontEnd {
+                app: self.app.name.to_string(),
+                index: offset as u32,
+                lanes: lanes.len() as u32,
+                refs: refs as u64,
+                front_end_ns: front_ns,
+                memo_hits,
+                memo_misses,
+            });
         }
         Ok(systems
             .into_iter()
@@ -560,7 +633,7 @@ impl<'a> LockStep<'a> {
                         &report.design,
                         offset + i,
                         total,
-                        gen_ns,
+                        0,
                         wall,
                         energy_ns,
                     ));
@@ -621,14 +694,10 @@ impl<'a> LockStep<'a> {
             })
             .collect();
 
-        let mut front = None;
-        if slots.iter().any(|s| matches!(s, LaneSlot::Live(..))) {
-            front = Some(self.front_end());
-            let front = front.as_mut().expect("just installed");
+        let live = slots.iter().any(|s| matches!(s, LaneSlot::Live(..)));
+        let front = live.then(|| {
             let mut first = true;
-            let mut left = refs;
-            while left > 0 {
-                let chunk = front.fill_next(left);
+            self.replay_blocks(refs, None, |block| {
                 for (lane, slot) in slots.iter_mut().enumerate() {
                     let failure = match slot {
                         LaneSlot::Live(sys, wall) => {
@@ -639,7 +708,9 @@ impl<'a> LockStep<'a> {
                                 if trip {
                                     panic!("injected fault at index {index}");
                                 }
-                                replay(sys, &chunk);
+                                for chunk in block {
+                                    replay(sys, chunk);
+                                }
                             });
                             *wall += start.elapsed().as_nanos() as u64;
                             outcome.err()
@@ -657,9 +728,11 @@ impl<'a> LockStep<'a> {
                     }
                 }
                 first = false;
-                left -= chunk.refs();
-            }
-        }
+                Ok(())
+            })
+            .expect("no token, no cancellation")
+            .0
+        });
 
         slots
             .into_iter()

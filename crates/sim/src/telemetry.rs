@@ -43,6 +43,7 @@
 //! | `arena`        | `cached_chunks capacity_chunks hits misses rejected memo_chunks memo_bytes memo_capacity_bytes memo_hits memo_misses memo_rejected` | scheduling |
 //! | `trace_io`     | `files chunks_decoded bytes_read decode_ns checksum_verifies decode_errors` | scheduling |
 //! | `search`       | `scope generation population front_size hv_permille evals_pruned evals_simulated evals_cached eval_ns` | yes |
+//! | `front_end`    | `scope app index lanes refs front_end_ns memo_hits memo_misses` | scheduling |
 //!
 //! [`KINDS`] is the machine-readable form of this table: the renderer
 //! sorts by it and consumers such as `telemetry_report` validate
@@ -90,7 +91,7 @@ pub struct KindSpec {
 /// rank within one scope epoch (points first, then checkpoints, then
 /// scheduling events, counters, and the kinds added since — existing
 /// ranks are pinned by drained-stream fixtures, so new kinds go last).
-pub const KINDS: [KindSpec; 9] = [
+pub const KINDS: [KindSpec; 10] = [
     KindSpec {
         kind: "point",
         fields: &[
@@ -182,6 +183,20 @@ pub const KINDS: [KindSpec; 9] = [
         ],
         scheduling: false,
     },
+    KindSpec {
+        kind: "front_end",
+        fields: &[
+            "scope",
+            "app",
+            "index",
+            "lanes",
+            "refs",
+            "front_end_ns",
+            "memo_hits",
+            "memo_misses",
+        ],
+        scheduling: true,
+    },
 ];
 
 /// The schema row of `kind`, or `None` for a kind the engine never
@@ -206,12 +221,10 @@ pub enum Event {
         index: u32,
         /// Number of points in the sweep this point belongs to.
         total: u32,
-        /// Wall time spent generating (or fetching) the shared trace
-        /// for this point's stream. On the lock-step engine this is the
-        /// whole front end: filtered-memo lookups, plus generation and
-        /// L1 filtering of every chunk the memo missed. Shared front-end
-        /// time is attributed to every point of the group it served — it
-        /// is wait time each of those points experienced.
+        /// Wall time spent generating (or fetching) the trace for this
+        /// point's stream. Always 0 on the lock-step engine: its lane
+        /// group's shared front-end time is reported once, in the group's
+        /// [`Event::FrontEnd`].
         trace_gen_ns: u64,
         /// Wall time spent inside [`crate::System::run_batch`].
         sim_ns: u64,
@@ -347,6 +360,29 @@ pub enum Event {
         /// Wall time of this generation's evaluation fan-out.
         eval_ns: u64,
     },
+    /// One lock-step lane group's shared front end.
+    ///
+    /// Scheduling-dependent: how designs are grouped varies with the job
+    /// count, and which group filters a chunk first (memo miss) and which
+    /// reads it back (memo hit) depends on thread timing.
+    FrontEnd {
+        /// Workload (app profile) name.
+        app: String,
+        /// Sweep-order index of the group's first lane.
+        index: u32,
+        /// Lanes (designs) the front end served.
+        lanes: u32,
+        /// References the group replayed.
+        refs: u64,
+        /// Wall time of the front end: filtered-memo lookups, plus
+        /// generation (or arena lookup or decode) and L1 filtering of
+        /// every chunk the memo missed.
+        front_end_ns: u64,
+        /// Chunks served from the filtered-chunk memo.
+        memo_hits: u64,
+        /// Chunks the front end filtered itself.
+        memo_misses: u64,
+    },
 }
 
 impl Event {
@@ -384,6 +420,7 @@ impl Event {
             Event::Counter { .. } => "counter",
             Event::Mrc { .. } => "mrc",
             Event::Search { .. } => "search",
+            Event::FrontEnd { .. } => "front_end",
         }
     }
 
@@ -531,6 +568,24 @@ impl Event {
                 push_num_field(&mut s, "evals_cached", u64::from(*evals_cached));
                 push_num_field(&mut s, "eval_ns", ns(*eval_ns));
             }
+            Event::FrontEnd {
+                app,
+                index,
+                lanes,
+                refs,
+                front_end_ns,
+                memo_hits,
+                memo_misses,
+            } => {
+                push_str_field(&mut s, "scope", scope);
+                push_str_field(&mut s, "app", app);
+                push_num_field(&mut s, "index", u64::from(*index));
+                push_num_field(&mut s, "lanes", u64::from(*lanes));
+                push_num_field(&mut s, "refs", *refs);
+                push_num_field(&mut s, "front_end_ns", ns(*front_end_ns));
+                push_num_field(&mut s, "memo_hits", *memo_hits);
+                push_num_field(&mut s, "memo_misses", *memo_misses);
+            }
         }
         s.push('}');
         s
@@ -568,8 +623,8 @@ fn json_escape_into(s: &mut String, value: &str) {
 
 /// `true` for event kinds whose presence or payload legitimately
 /// depends on thread scheduling (`worker_start`, `worker_stop`,
-/// `arena`, `trace_io`) — the determinism suite filters these before
-/// comparing streams across job counts.
+/// `arena`, `trace_io`, `front_end`) — the determinism suite filters
+/// these before comparing streams across job counts.
 pub fn is_scheduling_kind(kind: &str) -> bool {
     kind_spec(kind).is_some_and(|spec| spec.scheduling)
 }
@@ -1184,7 +1239,13 @@ mod tests {
 
     #[test]
     fn scheduling_kind_classification_matches_schema() {
-        for kind in ["worker_start", "worker_stop", "arena", "trace_io"] {
+        for kind in [
+            "worker_start",
+            "worker_stop",
+            "arena",
+            "trace_io",
+            "front_end",
+        ] {
             assert!(is_scheduling_kind(kind));
         }
         for kind in ["point", "checkpoint", "counter", "mrc", "search"] {
@@ -1248,6 +1309,29 @@ mod tests {
         let masked = mask_timing(&line).expect("mask");
         assert!(masked.contains("\"eval_ns\":0"));
         assert!(masked.contains("\"hv_permille\":412"), "{masked}");
+    }
+
+    #[test]
+    fn front_end_renders_parses_and_masks_front_end_ns() {
+        let rec = JsonlRecorder::new();
+        rec.set_scope("F1");
+        rec.record(Event::FrontEnd {
+            app: "game".to_string(),
+            index: 8,
+            lanes: 5,
+            refs: 1_000_000,
+            front_end_ns: 4_321,
+            memo_hits: 120,
+            memo_misses: 3,
+        });
+        let line = drained(&rec).remove(0);
+        assert_eq!(
+            line,
+            r#"{"v":1,"kind":"front_end","scope":"F1","app":"game","index":8,"lanes":5,"refs":1000000,"front_end_ns":4321,"memo_hits":120,"memo_misses":3}"#
+        );
+        let masked = mask_timing(&line).expect("mask");
+        assert!(masked.contains("\"front_end_ns\":0"));
+        assert!(masked.contains("\"memo_hits\":120"), "{masked}");
     }
 
     #[test]

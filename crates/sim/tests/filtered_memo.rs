@@ -17,8 +17,8 @@ use std::io::BufWriter;
 use moca_core::L2Design;
 use moca_sim::lockstep::LockStep;
 use moca_sim::{
-    parallel_map, run_app, FileTraceSource, FilteredMemo, Jobs, SimReport, System, SystemConfig,
-    TraceRegistry, MEMO_CAP_BYTES,
+    parallel_map, run_app, CancelToken, Cancelled, FileTraceSource, FilteredMemo, Jobs, SimReport,
+    System, SystemConfig, TraceRegistry, MEMO_CAP_BYTES,
 };
 use moca_trace::binfmt::{self, CHUNK_REFS};
 use moca_trace::{AppProfile, TraceGenerator};
@@ -232,4 +232,111 @@ fn poisoned_memo_recovers_and_serves_identical_reports() {
     let before = memo.stats();
     run_prefix(&memo, &app, seed, refs, "after poison");
     assert_eq!(memo.stats().hits - before.hits, chunks(refs));
+}
+
+/// One full replay block of the lock-step engine (128 chunks) plus a
+/// partial chunk: the run crosses a block boundary and ends mid-chunk.
+const PAST_ONE_BLOCK: usize = 128 * CHUNK_REFS + 4_097;
+
+/// Runs `designs` split the way the fan-out engine splits them over
+/// `jobs` workers — contiguous spans, each its own lane group — and
+/// concatenates the per-span results in design order. `run` gets the
+/// span and its offset in sweep order.
+fn over_jobs<T: Send>(
+    jobs: usize,
+    designs: &[L2Design],
+    run: impl Fn(&[L2Design], usize) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let per_span = designs.len().div_ceil(jobs);
+    let spans: Vec<(usize, &[L2Design])> = designs
+        .chunks(per_span)
+        .enumerate()
+        .map(|(s, span)| (s * per_span, span))
+        .collect();
+    parallel_map(Jobs::new(jobs), spans, |(offset, span)| run(span, offset))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+fn assert_debug_eq(got: &[SimReport], want: &[String], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "[{ctx}]");
+    for (report, want) in got.iter().zip(want) {
+        assert_eq!(&format!("{report:?}"), want, "{} [{ctx}]", report.design);
+    }
+}
+
+#[test]
+fn runs_past_one_replay_block_match_the_oracle_at_every_job_count() {
+    let app = AppProfile::game();
+    let seed = 0x3E30_0008;
+    let refs = PAST_ONE_BLOCK;
+    // `designs()` carries a `StaticMultiRetention` and a `DynamicStt`
+    // lane, the two designs whose expiry and repartition decisions read
+    // the lane's own clock.
+    let designs = designs();
+    let oracle: Vec<String> = designs
+        .iter()
+        .map(|d| format!("{:?}", run_app(&app, *d, refs, seed)))
+        .collect();
+    for jobs in [1, 2, 8] {
+        let memo = FilteredMemo::with_capacity(MEMO_CAP_BYTES);
+        // Lane groups `over_jobs` runs: each reads every chunk once.
+        let groups = designs.chunks(designs.len().div_ceil(jobs)).count() as u64;
+        let on_memo = || {
+            over_jobs(jobs, &designs, |span, _| {
+                LockStep::new(&app, seed).with_memo(&memo).run(span, refs)
+            })
+        };
+        let cold = on_memo();
+        assert_debug_eq(&cold, &oracle, &format!("cold, jobs={jobs}"));
+        let after_cold = memo.stats();
+        assert_eq!(after_cold.cached_chunks as u64, chunks(refs));
+
+        let warm = on_memo();
+        assert_debug_eq(&warm, &oracle, &format!("warm, jobs={jobs}"));
+        let after_warm = memo.stats();
+        assert_eq!(after_warm.hits - after_cold.hits, groups * chunks(refs));
+        assert_eq!(after_warm.misses, after_cold.misses);
+
+        let once = over_jobs(jobs, &designs, |span, _| {
+            LockStep::new(&app, seed).read_once().run(span, refs)
+        });
+        assert_debug_eq(&once, &oracle, &format!("read_once, jobs={jobs}"));
+
+        // A lane that panics at the start of its first block is dropped;
+        // every other lane of its group replays both blocks unchanged.
+        let faulted = 2;
+        let outcomes = over_jobs(jobs, &designs, |span, offset| {
+            LockStep::new(&app, seed)
+                .with_memo(&memo)
+                .with_injected_faults(&[faulted])
+                .run_timed_isolated_span(span, refs, offset)
+        });
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let ctx = format!("isolated, jobs={jobs}, index {i}");
+            if i == faulted {
+                let e = outcome.as_ref().expect_err(&ctx);
+                assert_eq!(e.index, faulted, "{ctx}");
+            } else {
+                let (report, _) = outcome.as_ref().expect(&ctx);
+                assert_eq!(format!("{report:?}"), oracle[i], "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pre_tripped_token_cancels_before_any_chunk_is_fetched() {
+    let app = AppProfile::game();
+    let memo = FilteredMemo::with_capacity(MEMO_CAP_BYTES);
+    let token = CancelToken::new();
+    token.cancel();
+    let designs = designs();
+    let got = LockStep::new(&app, 0x3E30_0009)
+        .with_memo(&memo)
+        .try_run_timed_span(&designs, PAST_ONE_BLOCK, 0, designs.len(), &token);
+    assert_eq!(got.err(), Some(Cancelled));
+    let stats = memo.stats();
+    assert_eq!((stats.hits, stats.misses), (0, 0), "{stats:?}");
 }

@@ -83,7 +83,8 @@ test -s "$TELEM" || { echo "telemetry stream is empty"; exit 1; }
 # telemetry_report parses every line (exit 2 on the first malformed one
 # or an unknown kind) and must find the sweep points in its aggregate.
 target/release/telemetry_report "$TELEM" > "$SMOKE_DIR/telemetry_report.txt"
-for needle in 'per-scope profile' 'filtered memo:' 'mrc pruning:' 'search:' 'events by kind'; do
+for needle in 'per-scope profile' 'filtered memo:' 'mrc pruning:' 'search:' 'events by kind' \
+              'front_end'; do
   grep -q "$needle" "$SMOKE_DIR/telemetry_report.txt" \
     || { echo "telemetry_report has no '$needle' section"; exit 1; }
 done
@@ -401,7 +402,7 @@ cargo bench -p moca-bench --offline --bench micro | tee target/bench_micro_curre
 # they are in the baseline — keep this check in sync with BENCH_micro.json).
 for bench in "sweep-fanout/8-designs-100k" "sweep-lockstep/8-designs-100k" \
              "lockstep/lane-group-width" "chunk-arena/hit-rate" \
-             "front-end/memo-hit-100k" \
+             "front-end/memo-hit-100k" "lockstep/8-designs-warm-1m" \
              "trace-gen/100k-refs" "trace-decode/100k-refs" \
              "trace-file/replay-100k" "mrc/profile-100k" \
              "sweep-lockstep/24-designs-100k" "sweep-pruned/24-designs-100k" \
